@@ -196,7 +196,6 @@ inline QueryMetrics RunPointQueries(SpatialIndex* index,
   m.blocks_per_query =
       static_cast<double>(ctx.block_accesses) / queries.size();
   m.recall = static_cast<double>(found) / queries.size();
-  index->AggregateQueryContext(ctx);  // keep Stats()' avg depth fed
   return m;
 }
 
@@ -213,7 +212,6 @@ inline QueryMetrics RunWindowQueries(SpatialIndex* index,
   m.time_us_per_query = t.ElapsedMicros() / windows.size();
   m.blocks_per_query =
       static_cast<double>(ctx.block_accesses) / windows.size();
-  index->AggregateQueryContext(ctx);
   if (truth_data != nullptr) {
     // Learned-index answers have no false positives, so recall reduces to
     // |result| / |truth| (Section 6.2.3); exact indices score 1.
@@ -245,7 +243,6 @@ inline QueryMetrics RunKnnQueries(SpatialIndex* index,
   m.time_us_per_query = t.ElapsedMicros() / queries.size();
   m.blocks_per_query =
       static_cast<double>(ctx.block_accesses) / queries.size();
-  index->AggregateQueryContext(ctx);
   if (truth_data != nullptr) {
     double recall_sum = 0.0;
     for (size_t i = 0; i < queries.size(); ++i) {

@@ -13,6 +13,7 @@
 // sharded-vs-monolithic point-latency ratio from this JSON (non-gating).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -89,16 +90,17 @@ void PointBench(benchmark::State& state, const std::string& spec) {
   const auto qs =
       GenerateQueryPoints(data, std::min(sc.point_queries, n), kQuerySeed);
   std::vector<std::optional<PointEntry>> hits(qs.size());
+  std::vector<QueryContext> ctxs(qs.size());
 
-  QueryContext ctx;
   double us = 0.0;
   for (auto _ : state) {
-    ctx = QueryContext{};
+    std::fill(ctxs.begin(), ctxs.end(), QueryContext{});
     WallTimer t;
-    index->PointQueryBatch(qs.data(), qs.size(), ctx, hits.data());
+    index->PointQueryBatch(qs.data(), qs.size(), ctxs.data(), hits.data());
     us = t.ElapsedMicros() / static_cast<double>(qs.size());
   }
-  index->AggregateQueryContext(ctx);
+  QueryContext ctx;
+  for (const QueryContext& c : ctxs) ctx.MergeFrom(c);
   state.counters["us_per_query"] = us;
   state.counters["blocks_per_query"] =
       static_cast<double>(ctx.block_accesses) /
@@ -126,7 +128,6 @@ void WindowBench(benchmark::State& state, const std::string& spec) {
     }
     us = t.ElapsedMicros() / static_cast<double>(windows.size());
   }
-  index->AggregateQueryContext(ctx);
   state.counters["us_per_query"] = us;
   state.counters["results"] = static_cast<double>(results);
   state.counters["blocks_per_query"] =
@@ -151,7 +152,6 @@ void KnnBench(benchmark::State& state, const std::string& spec) {
     }
     us = t.ElapsedMicros() / static_cast<double>(centers.size());
   }
-  index->AggregateQueryContext(ctx);
   state.counters["us_per_query"] = us;
   state.counters["blocks_per_query"] =
       static_cast<double>(ctx.block_accesses) /

@@ -81,11 +81,12 @@ int main(int argc, char** argv) {
   std::printf("\nStabbing queries (point-in-footprint):\n");
   Rng rng(7);
   size_t hits = 0;
+  QueryContext stab_ctx;
   WallTimer stab_timer;
   const int stabs = 1000;
   for (int i = 0; i < stabs; ++i) {
     const Point p{rng.Uniform(), rng.Uniform()};
-    hits += index.StabQuery(p).empty() ? 0 : 1;
+    hits += index.StabQuery(p, stab_ctx).empty() ? 0 : 1;
   }
   std::printf("  %d random positions, %zu inside a building, %.1f us each\n",
               stabs, hits, stab_timer.ElapsedMicros() / stabs);

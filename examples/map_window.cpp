@@ -31,11 +31,12 @@ int main(int argc, char** argv) {
               "RSMI hits", "HRR(us)", "HRR hits");
   for (int step = 0; step < 12; ++step) {
     const Rect view{{x, y}, {x + w, y + h}};
+    QueryContext ctx;
     WallTimer t1;
-    const auto got_rsmi = rsmi.WindowQuery(view);
+    const auto got_rsmi = rsmi.WindowQuery(view, ctx);
     const double us_rsmi = t1.ElapsedMicros();
     WallTimer t2;
-    const auto got_hrr = hrr.WindowQuery(view);
+    const auto got_hrr = hrr.WindowQuery(view, ctx);
     const double us_hrr = t2.ElapsedMicros();
 
     char label[64];

@@ -28,12 +28,13 @@ int main(int argc, char** argv) {
   std::printf("%zu POIs indexed; %zu-NN searches:\n\n", n, k);
   for (size_t u = 0; u < users.size(); ++u) {
     const Point& me = users[u];
+    QueryContext ctx;
     WallTimer t_approx;
-    const auto nearby = index.KnnQuery(me, k);
+    const auto nearby = index.KnnQuery(me, k, ctx);
     const double us_approx = t_approx.ElapsedMicros();
 
     WallTimer t_exact;
-    const auto truth = index.KnnQueryExact(me, k);
+    const auto truth = index.KnnQueryExact(me, k, ctx);
     const double us_exact = t_exact.ElapsedMicros();
 
     const double recall = RecallOf(nearby, truth);

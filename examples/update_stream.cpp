@@ -56,9 +56,8 @@ int main(int argc, char** argv) {
     }
 
     if (i % report_every == 0) {
-      // Probe query health: 1000 point queries over live objects. Costs
-      // go to a per-batch QueryContext (the context-free shims would work
-      // too, but would mix these probes into the index-wide aggregate).
+      // Probe query health: 1000 point queries over live objects, their
+      // costs folded into one per-batch QueryContext.
       const auto probes = GenerateQueryPoints(live, 1000, 17 + i);
       QueryContext probe_ctx;
       WallTimer t;

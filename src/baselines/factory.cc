@@ -196,9 +196,6 @@ class RsmiView : public SpatialIndex {
   explicit RsmiView(std::shared_ptr<RsmiIndex> impl)
       : impl_(std::move(impl)) {}
   std::string Name() const override { return impl_->Name(); }
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override {
     return impl_->PointQuery(q, ctx);
@@ -211,10 +208,6 @@ class RsmiView : public SpatialIndex {
                               QueryContext& ctx) const override {
     return impl_->KnnQuery(q, k, ctx);
   }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override {
-    impl_->PointQueryBatch(qs, n, ctx, out);
-  }
   void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                        std::optional<PointEntry>* out) const override {
     impl_->PointQueryBatch(qs, n, ctxs, out);
@@ -222,12 +215,8 @@ class RsmiView : public SpatialIndex {
   void InsertOne(const Point& p) override { impl_->Insert(p); }
   bool DeleteOne(const Point& p) override { return impl_->Delete(p); }
   IndexStats Stats() const override { return impl_->Stats(); }
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    impl_->AggregateQueryContext(ctx);
-  }
-  uint64_t block_accesses() const override { return impl_->block_accesses(); }
-  const BlockStore& block_store() const override {
-    return impl_->block_store();
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    impl_->ForEachBlockStore(fn);
   }
 
   std::string KindSpec() const override { return "rsmi"; }

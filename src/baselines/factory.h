@@ -97,9 +97,6 @@ class RsmiaView : public SpatialIndex {
       : impl_(std::move(impl)) {}
 
   std::string Name() const override { return "RSMIa"; }
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override {
     return impl_->PointQuery(q, ctx);
@@ -112,10 +109,6 @@ class RsmiaView : public SpatialIndex {
                               QueryContext& ctx) const override {
     return impl_->KnnQueryExact(q, k, ctx);
   }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override {
-    impl_->PointQueryBatch(qs, n, ctx, out);
-  }
   void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                        std::optional<PointEntry>* out) const override {
     impl_->PointQueryBatch(qs, n, ctxs, out);
@@ -127,12 +120,8 @@ class RsmiaView : public SpatialIndex {
     s.name = Name();
     return s;
   }
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    impl_->AggregateQueryContext(ctx);
-  }
-  uint64_t block_accesses() const override { return impl_->block_accesses(); }
-  const BlockStore& block_store() const override {
-    return impl_->block_store();
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    impl_->ForEachBlockStore(fn);
   }
 
   /// Persists/loads through the shared RSMI (the payload is exactly an

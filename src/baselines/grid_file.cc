@@ -186,7 +186,6 @@ void GridFile::InsertOne(const Point& p) {
   blk.entries.push_back(PointEntry{p, next_id_++});
   blk.mbr.Expand(p);
   ++live_points_;
-  AggregateQueryContext(ctx);
 }
 
 bool GridFile::DeleteOne(const Point& p) {
@@ -206,7 +205,6 @@ bool GridFile::DeleteOne(const Point& p) {
     }
     if (removed) break;
   }
-  AggregateQueryContext(ctx);
   return removed;
 }
 

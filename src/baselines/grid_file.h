@@ -29,9 +29,6 @@ class GridFile : public SpatialIndex {
 
   std::string Name() const override { return "Grid"; }
 
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
   std::vector<Point> WindowQuery(const Rect& w,
@@ -42,7 +39,9 @@ class GridFile : public SpatialIndex {
   bool DeleteOne(const Point& p) override;
 
   IndexStats Stats() const override;
-  const BlockStore& block_store() const override { return store_; }
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    fn(store_);
+  }
 
   /// Checks the grid invariants: every stored entry maps back to the cell
   /// whose chain holds it, no block is shared between cells, and block

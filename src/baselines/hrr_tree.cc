@@ -332,7 +332,6 @@ void HrrTree::InsertOne(const Point& p) {
     n->rank_mbr.Expand(Point{rx, ry});
   }
   ++live_points_;
-  AggregateQueryContext(ctx);
 }
 
 bool HrrTree::DeleteOne(const Point& p) {
@@ -349,7 +348,6 @@ bool HrrTree::DeleteOne(const Point& p) {
           mb.entries[i] = mb.entries.back();
           mb.entries.pop_back();
           --live_points_;
-          AggregateQueryContext(ctx);
           return true;
         }
       }
@@ -360,7 +358,6 @@ bool HrrTree::DeleteOne(const Point& p) {
       if (child->orig_mbr.Contains(p)) stack.push_back(child.get());
     }
   }
-  AggregateQueryContext(ctx);
   return false;
 }
 

@@ -37,9 +37,6 @@ class HrrTree : public SpatialIndex {
 
   std::string Name() const override { return "HRR"; }
 
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
   std::vector<Point> WindowQuery(const Rect& w,
@@ -50,7 +47,9 @@ class HrrTree : public SpatialIndex {
   bool DeleteOne(const Point& p) override;
 
   IndexStats Stats() const override;
-  const BlockStore& block_store() const override { return store_; }
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    fn(store_);
+  }
 
   /// Checks the packed R-tree invariants: child MBRs (in both rank and
   /// original space) are contained in their parent's, and every stored

@@ -451,7 +451,6 @@ void KdbTree::InsertOne(const Point& p) {
   }
   ++next_id_;
   ++live_points_;
-  AggregateQueryContext(ctx);
 }
 
 bool KdbTree::DeleteOne(const Point& p) {
@@ -468,12 +467,8 @@ bool KdbTree::DeleteOne(const Point& p) {
     }
     cur = next;
   }
-  if (cur == nullptr) {
-    AggregateQueryContext(ctx);
-    return false;
-  }
+  if (cur == nullptr) return false;
   const Block& b = store_.Access(cur->block, ctx);
-  AggregateQueryContext(ctx);
   for (size_t i = 0; i < b.entries.size(); ++i) {
     if (SamePosition(b.entries[i].pt, p)) {
       Block& mb = store_.MutableBlock(cur->block);

@@ -34,9 +34,6 @@ class KdbTree : public SpatialIndex {
 
   std::string Name() const override { return "KDB"; }
 
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
   std::vector<Point> WindowQuery(const Rect& w,
@@ -47,7 +44,9 @@ class KdbTree : public SpatialIndex {
   bool DeleteOne(const Point& p) override;
 
   IndexStats Stats() const override;
-  const BlockStore& block_store() const override { return store_; }
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    fn(store_);
+  }
 
   /// Checks the defining K-D-B invariants: child regions are pairwise
   /// disjoint (in their interiors) and contained in the parent region,

@@ -132,7 +132,6 @@ RStarTree::RStarTree(const std::vector<Point>& pts, const RStarConfig& cfg)
     InsertEntry(PointEntry{p, next_id_++}, /*allow_reinsert=*/true, ctx);
     ++live_points_;
   }
-  AggregateQueryContext(ctx);
 }
 
 RStarTree::~RStarTree() = default;
@@ -349,7 +348,6 @@ void RStarTree::InsertOne(const Point& p) {
   QueryContext ctx;
   InsertEntry(PointEntry{p, next_id_++}, /*allow_reinsert=*/true, ctx);
   ++live_points_;
-  AggregateQueryContext(ctx);
 }
 
 std::optional<PointEntry> RStarTree::PointQuery(const Point& q,
@@ -478,7 +476,6 @@ bool RStarTree::DeleteOne(const Point& p) {
       if (child->mbr.Contains(p)) stack.push_back(child.get());
     }
   }
-  AggregateQueryContext(ctx);
   if (found_leaf == nullptr) return false;
   Block& blk = store_.MutableBlock(found_leaf->block);
   blk.entries[found_pos] = blk.entries.back();

@@ -36,9 +36,6 @@ class RStarTree : public SpatialIndex {
 
   std::string Name() const override { return "RR*"; }
 
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
   std::vector<Point> WindowQuery(const Rect& w,
@@ -49,7 +46,9 @@ class RStarTree : public SpatialIndex {
   bool DeleteOne(const Point& p) override;
 
   IndexStats Stats() const override;
-  const BlockStore& block_store() const override { return store_; }
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    fn(store_);
+  }
 
   /// Checks the R-tree invariants: every child MBR (and every stored
   /// point) is contained in its parent's MBR, parent back-pointers are

@@ -333,19 +333,8 @@ std::optional<PointEntry> ZmIndex::PointQuery(const Point& q,
   return LookupWithPrediction(q, zq, pred, ctx);
 }
 
-void ZmIndex::PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                              std::optional<PointEntry>* out) const {
-  PointQueryBatchImpl(qs, n, &ctx, 0, out);
-}
-
 void ZmIndex::PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                               std::optional<PointEntry>* out) const {
-  PointQueryBatchImpl(qs, n, ctxs, 1, out);
-}
-
-void ZmIndex::PointQueryBatchImpl(const Point* qs, size_t n,
-                                  QueryContext* ctxs, size_t ctx_stride,
-                                  std::optional<PointEntry>* out) const {
   if (n == 0) return;
   if (n_build_ == 0 && !has_insertions_) {
     std::fill(out, out + n, std::nullopt);
@@ -354,9 +343,9 @@ void ZmIndex::PointQueryBatchImpl(const Point* qs, size_t n,
   std::vector<uint64_t> zs(n);
   for (size_t i = 0; i < n; ++i) zs[i] = ZValue(qs[i]);
   std::vector<Prediction> preds(n);
-  PredictBlockBatch(zs.data(), n, ctxs, ctx_stride, preds.data());
+  PredictBlockBatch(zs.data(), n, ctxs, 1, preds.data());
   for (size_t i = 0; i < n; ++i) {
-    out[i] = LookupWithPrediction(qs[i], zs[i], preds[i], ctxs[i * ctx_stride]);
+    out[i] = LookupWithPrediction(qs[i], zs[i], preds[i], ctxs[i]);
   }
 }
 
@@ -569,7 +558,6 @@ void ZmIndex::InsertOne(const Point& p) {
   blk.mbr.Expand(p);
   ++live_points_;
   has_insertions_ = true;
-  AggregateQueryContext(ctx);
 }
 
 bool ZmIndex::DeleteOne(const Point& p) {
@@ -591,7 +579,6 @@ bool ZmIndex::DeleteOne(const Point& p) {
     }
     return false;
   });
-  AggregateQueryContext(ctx);
   if (found_id < 0) return false;
   Block& blk = store_.MutableBlock(found_id);
   blk.entries[found_pos] = blk.entries.back();
@@ -613,7 +600,6 @@ IndexStats ZmIndex::Stats() const {
   }
   s.size_bytes = model_bytes + store_.SizeBytes() + pmf_x_.SizeBytes() +
                  pmf_y_.SizeBytes();
-  s.avg_query_depth = 3.0;
   return s;
 }
 

@@ -52,9 +52,6 @@ class ZmIndex : public SpatialIndex {
 
   std::string Name() const override { return "ZM"; }
 
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
   std::vector<Point> WindowQuery(const Rect& w,
@@ -63,19 +60,17 @@ class ZmIndex : public SpatialIndex {
                               QueryContext& ctx) const override;
   /// Batched point lookup: one vectorized RMI descent for all `n`
   /// Z-values (levels evaluated group-wise through PredictBatch), then
-  /// the per-query binary search. Results and costs are identical to
-  /// `n` scalar PointQuery calls.
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override;
-  /// Per-op-attributed batch (see SpatialIndex): same vectorized descent,
-  /// query i's costs charged to ctxs[i].
+  /// the per-query binary search. Results and per-op costs are identical
+  /// to `n` scalar PointQuery calls.
   void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                        std::optional<PointEntry>* out) const override;
   void InsertOne(const Point& p) override;
   bool DeleteOne(const Point& p) override;
 
   IndexStats Stats() const override;
-  const BlockStore& block_store() const override { return store_; }
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    fn(store_);
+  }
 
   /// Maximum leaf-model error bounds in blocks (Table 4).
   int MaxErrBelow() const;
@@ -125,16 +120,11 @@ class ZmIndex : public SpatialIndex {
   /// Batched model descent: evaluates all `n` Z-values through the
   /// three-level RMI with one PredictBatch per (level, sub-model) group.
   /// Bit-identical to n scalar PredictBlock calls; Z-value i's charges go
-  /// to `ctxs[i * ctx_stride]` (stride 0 = one shared context, stride 1 =
-  /// per-op attribution).
+  /// to `ctxs[i * ctx_stride]` (stride 0 = one shared context, as the
+  /// window corner probes use; stride 1 = per-op attribution, as the
+  /// point batch uses).
   void PredictBlockBatch(const uint64_t* zs, size_t n, QueryContext* ctxs,
                          size_t ctx_stride, Prediction* out) const;
-
-  /// Shared implementation behind both PointQueryBatch overloads; same
-  /// ctxs/ctx_stride convention as PredictBlockBatch.
-  void PointQueryBatchImpl(const Point* qs, size_t n, QueryContext* ctxs,
-                           size_t ctx_stride,
-                           std::optional<PointEntry>* out) const;
 
   /// The search phase of a point query, with the model prediction for
   /// `zq` already computed (shared by the scalar and batched paths).

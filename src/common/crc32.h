@@ -6,8 +6,9 @@
 
 namespace rsmi {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding every
-/// page of a PagedFile against torn writes and bit rot. Table-driven,
+/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding index
+/// container payloads (io/index_container.h) and write-behind log records
+/// (xmem/write_behind.h) against torn writes and bit rot. Table-driven,
 /// byte-at-a-time; the table is built once on first use.
 inline uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0) {
   static const uint32_t* kTable = [] {

@@ -1,7 +1,6 @@
 #ifndef RSMI_CORE_EXTENT_INDEX_H_
 #define RSMI_CORE_EXTENT_INDEX_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -55,28 +54,6 @@ class RsmiExtentIndex {
     return WindowQueryExact(Rect{p, p}, ctx);
   }
 
-  /// Context-free shims (\deprecated — fold into the legacy aggregate
-  /// like the SpatialIndex wrappers).
-  std::vector<Rect> WindowQuery(const Rect& w) const {
-    QueryContext ctx;
-    auto r = WindowQuery(w, ctx);
-    index_->AggregateQueryContext(ctx);
-    return r;
-  }
-  std::vector<Rect> WindowQueryExact(const Rect& w) const {
-    QueryContext ctx;
-    auto r = WindowQueryExact(w, ctx);
-    index_->AggregateQueryContext(ctx);
-    return r;
-  }
-  std::vector<Rect> StabQuery(const Point& p) const {
-    QueryContext ctx;
-    auto r = StabQuery(p, ctx);
-    index_->AggregateQueryContext(ctx);
-    return r;
-  }
-
-  uint64_t block_accesses() const { return index_->block_accesses(); }
   const RsmiIndex& index() const { return *index_; }
 
  private:

@@ -13,14 +13,11 @@ namespace rsmi {
 /// A QueryContext is owned by exactly one in-flight query, so recording
 /// into it needs no synchronization — this is what makes every read path
 /// in the repository safe to run from many threads at once: queries write
-/// their costs here instead of into shared `mutable` counters. When a
-/// caller wants the old index-wide counters (the 23 figure benches do),
-/// it folds the finished context into the index's thread-safe aggregate
-/// via SpatialIndex::AggregateQueryContext — see the compatibility shims
-/// in core/spatial_index.h.
+/// their costs here instead of into shared `mutable` counters. It is the
+/// only place a cost is ever recorded; callers that want a total over
+/// many queries fold the contexts with MergeFrom.
 struct QueryContext {
-  /// Counted data-block reads plus charged node/buffer pages — exactly
-  /// what BlockStore::accesses() used to accumulate globally.
+  /// Counted data-block reads plus charged node/buffer pages.
   uint64_t block_accesses = 0;
   /// MLP sub-models invoked while descending learned indices.
   uint64_t model_invocations = 0;

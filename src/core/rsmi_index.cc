@@ -550,19 +550,8 @@ std::optional<PointEntry> RsmiIndex::PointQuery(const Point& q,
   return std::nullopt;
 }
 
-void RsmiIndex::PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                                std::optional<PointEntry>* out) const {
-  PointQueryBatchImpl(qs, n, &ctx, 0, out);
-}
-
 void RsmiIndex::PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                                 std::optional<PointEntry>* out) const {
-  PointQueryBatchImpl(qs, n, ctxs, 1, out);
-}
-
-void RsmiIndex::PointQueryBatchImpl(const Point* qs, size_t n,
-                                    QueryContext* ctxs, size_t ctx_stride,
-                                    std::optional<PointEntry>* out) const {
   if (n == 0) return;
   if (n == 1) {
     out[0] = PointQuery(qs[0], ctxs[0]);
@@ -576,8 +565,8 @@ void RsmiIndex::PointQueryBatchImpl(const Point* qs, size_t n,
   const size_t chunk = BatchDescentChunkWidth();
   for (size_t s = 0; s < n; s += chunk) {
     const size_t c = std::min(chunk, n - s);
-    DescendFusedChunk(qs + s, c, ctxs + s * ctx_stride, ctx_stride,
-                      leaves.data() + s, pb.data() + s, ws);
+    DescendFusedChunk(qs + s, c, ctxs + s, 1, leaves.data() + s,
+                      pb.data() + s, ws);
     if (prefetch_hook_) {
       // Hand each query's predicted block range to the prefetcher now,
       // while the remaining chunks still descend — the scans below then
@@ -594,7 +583,7 @@ void RsmiIndex::PointQueryBatchImpl(const Point* qs, size_t n,
   // The block probing is per point, exactly Algorithm 1's scan.
   for (size_t i = 0; i < n; ++i) {
     const Node& leaf = *leaves[i];
-    QueryContext& ctx = ctxs[i * ctx_stride];
+    QueryContext& ctx = ctxs[i];
     int block_id = -1;
     size_t pos = 0;
     if (FindEntryFrom(leaf, qs[i], pb[i], ctx, &block_id, &pos)) {
@@ -978,9 +967,9 @@ std::vector<Point> RsmiIndex::KnnQueryExact(const Point& q, size_t k,
 // ---------------------------------------------------------------------------
 
 void RsmiIndex::InsertOne(const Point& p) {
-  // Writes require exclusive access; their costs go through a local
-  // context folded into the legacy aggregate at the end, so insertion
-  // block accesses keep showing up in block_accesses() as before.
+  // Writes require exclusive access. The descent and block helpers they
+  // share with the read path charge a context; a write's is local and
+  // discarded (the paper's cost metric is per query).
   QueryContext ctx;
   std::vector<Node*> path;
   Node* leaf = DescendNearestMutable(p, &path, ctx);
@@ -1004,7 +993,6 @@ void RsmiIndex::InsertOne(const Point& p) {
     if (static_cast<int>(leaf->buffer.size()) >= cap) {
       MergeLeafBuffer(leaf, path);
     }
-    AggregateQueryContext(ctx);
     return;
   }
 
@@ -1035,7 +1023,6 @@ void RsmiIndex::InsertOne(const Point& p) {
   for (Node* n : path) n->mbr.Expand(p);  // recursive MBR maintenance
   ++leaf->extra_points;
   ++live_points_;
-  AggregateQueryContext(ctx);
 }
 
 void RsmiIndex::MergeLeafBuffer(Node* leaf, const std::vector<Node*>& path) {
@@ -1070,7 +1057,6 @@ bool RsmiIndex::DeleteOne(const Point& p) {
     blk.entries[found_pos] = blk.entries.back();
     blk.entries.pop_back();
     --live_points_;
-    AggregateQueryContext(ctx);
     return true;
   }
   // The point may still sit in the leaf's insert buffer (kLeafBuffer).
@@ -1078,10 +1064,8 @@ bool RsmiIndex::DeleteOne(const Point& p) {
     const size_t idx = static_cast<size_t>(e - leaf->buffer.data());
     leaf->buffer.erase(leaf->buffer.begin() + idx);
     --live_points_;
-    AggregateQueryContext(ctx);
     return true;
   }
-  AggregateQueryContext(ctx);
   return false;
 }
 
@@ -1209,7 +1193,6 @@ IndexStats RsmiIndex::Stats() const {
   s.num_models = ts.models;
   s.size_bytes = ts.bytes + store_.SizeBytes() + pmf_x_.SizeBytes() +
                  pmf_y_.SizeBytes();
-  s.avg_query_depth = AvgQueryDepth();
   return s;
 }
 
@@ -1227,12 +1210,6 @@ int RsmiIndex::MaxErrAbove() const {
   int v = 0;
   for (const Node* l : leaves) v = std::max(v, l->err_above);
   return v;
-}
-
-double RsmiIndex::AvgQueryDepth() const {
-  const uint64_t count = descend_count_.load(std::memory_order_relaxed);
-  const uint64_t inv = descend_invocations_.load(std::memory_order_relaxed);
-  return count == 0 ? 0.0 : static_cast<double>(inv) / count;
 }
 
 bool RsmiIndex::ValidateStructure(std::string* error) const {

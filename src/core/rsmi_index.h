@@ -1,7 +1,6 @@
 #ifndef RSMI_CORE_RSMI_INDEX_H_
 #define RSMI_CORE_RSMI_INDEX_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -46,12 +45,8 @@ class RsmiIndex : public SpatialIndex {
 
   std::string Name() const override { return "RSMI"; }
 
-  // Context-threaded read path (thread-safe for concurrent readers; see
-  // the SpatialIndex contract). The context-free overloads inherited from
-  // SpatialIndex remain available as compatibility shims.
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
+  // Read path (thread-safe for concurrent readers; see the SpatialIndex
+  // contract).
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
   std::vector<Point> WindowQuery(const Rect& w,
@@ -62,13 +57,9 @@ class RsmiIndex : public SpatialIndex {
   /// Batched point lookup: descends all `n` queries level-synchronously,
   /// grouping the points sitting on the same sub-model and evaluating
   /// each group with one vectorized PredictBatch call instead of `n`
-  /// scalar model invocations per level. Results and per-call costs are
+  /// scalar model invocations per level. Results and per-op costs are
   /// identical to `n` scalar PointQuery calls (the inference engine is
   /// bit-identical across batch sizes and kernels).
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override;
-  /// Per-op-attributed batch (see SpatialIndex): same vectorized descent,
-  /// query i's costs charged to ctxs[i].
   void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                        std::optional<PointEntry>* out) const override;
 
@@ -87,33 +78,6 @@ class RsmiIndex : public SpatialIndex {
   std::vector<Point> KnnQueryExact(const Point& q, size_t k,
                                    QueryContext& ctx) const;
 
-  /// Context-free shims for the exact/entry variants (\deprecated — same
-  /// aggregation semantics as the SpatialIndex wrappers).
-  std::vector<Point> WindowQueryExact(const Rect& w) const {
-    QueryContext ctx;
-    auto r = WindowQueryExact(w, ctx);
-    AggregateQueryContext(ctx);
-    return r;
-  }
-  std::vector<PointEntry> WindowQueryEntries(const Rect& w) const {
-    QueryContext ctx;
-    auto r = WindowQueryEntries(w, ctx);
-    AggregateQueryContext(ctx);
-    return r;
-  }
-  std::vector<PointEntry> WindowQueryExactEntries(const Rect& w) const {
-    QueryContext ctx;
-    auto r = WindowQueryExactEntries(w, ctx);
-    AggregateQueryContext(ctx);
-    return r;
-  }
-  std::vector<Point> KnnQueryExact(const Point& q, size_t k) const {
-    QueryContext ctx;
-    auto r = KnnQueryExact(q, k, ctx);
-    AggregateQueryContext(ctx);
-    return r;
-  }
-
   void InsertOne(const Point& p) override;
   bool DeleteOne(const Point& p) override;
 
@@ -123,15 +87,9 @@ class RsmiIndex : public SpatialIndex {
   int RebuildOverflowingSubtrees();
 
   IndexStats Stats() const override;
-  const BlockStore& block_store() const override { return store_; }
-
-  /// Extends the base aggregation with the query-depth bookkeeping
-  /// (Section 6.2.2 "average depth"). Thread-safe.
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    store_.AggregateAccesses(ctx.block_accesses);
-    descend_invocations_.fetch_add(ctx.model_invocations,
-                                   std::memory_order_relaxed);
-    descend_count_.fetch_add(ctx.descents, std::memory_order_relaxed);
+  const BlockStore& block_store() const { return store_; }
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    fn(store_);
   }
 
   /// Installs (or clears, with nullptr) a callback invoked with predicted
@@ -180,9 +138,6 @@ class RsmiIndex : public SpatialIndex {
   /// Checks the block chain (symmetric links, increasing seq keys), every
   /// leaf's block range, and MBR containment of every stored point.
   bool ValidateStructure(std::string* error) const override;
-
-  /// Average number of sub-models invoked per descent so far.
-  double AvgQueryDepth() const;
 
   const RsmiConfig& config() const { return cfg_; }
 
@@ -233,8 +188,8 @@ class RsmiIndex : public SpatialIndex {
   /// on the same sub-model are evaluated with one PredictBatch call.
   /// Writes each point's leaf into `leaves`; query i's descent costs are
   /// charged to `ctxs[i * ctx_stride]` exactly like a scalar descent —
-  /// stride 0 folds the whole batch into one shared context (the engine
-  /// hot path), stride 1 attributes per op (the serving layer).
+  /// the window corner probes pass stride 0 to fold them into the
+  /// window query's one context.
   void DescendNearestBatch(const Point* qs, size_t n, QueryContext* ctxs,
                            size_t ctx_stride, const Node** leaves) const;
   struct DescentSeg;       // contiguous frontier segment of one sub-model
@@ -251,11 +206,6 @@ class RsmiIndex : public SpatialIndex {
   void DescendFusedChunk(const Point* qs, size_t n, QueryContext* ctxs,
                          size_t ctx_stride, const Node** leaves, int* pb,
                          DescentScratch& ws) const;
-  /// Shared implementation behind both PointQueryBatch overloads; same
-  /// ctxs/ctx_stride convention as DescendNearestBatch.
-  void PointQueryBatchImpl(const Point* qs, size_t n, QueryContext* ctxs,
-                           size_t ctx_stride,
-                           std::optional<PointEntry>* out) const;
   /// Mutable robust descent collecting the root-to-leaf path (insertion
   /// needs it for recursive MBR maintenance, Section 5).
   Node* DescendNearestMutable(const Point& p, std::vector<Node*>* path,
@@ -315,11 +265,6 @@ class RsmiIndex : public SpatialIndex {
   /// Non-null only while the constructor runs with build_threads > 1:
   /// BuildLeaf queues its training here instead of running it inline.
   std::vector<LeafTrainJob>* leaf_jobs_ = nullptr;
-  // Query-depth bookkeeping (Section 6.2.2 "average depth"): a thread-
-  // safe aggregate fed from finished QueryContexts (queries themselves
-  // record depth in their context, never here).
-  mutable std::atomic<uint64_t> descend_invocations_{0};
-  mutable std::atomic<uint64_t> descend_count_{0};
   /// Advisory prediction-to-prefetch bridge (see SetBlockPrefetchHook).
   mutable BlockPrefetchHook prefetch_hook_;
 };

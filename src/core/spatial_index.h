@@ -2,6 +2,7 @@
 #define RSMI_CORE_SPATIAL_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,9 +29,6 @@ struct IndexStats {
   int height = 0;
   /// Learned indices: number of sub-models.
   size_t num_models = 0;
-  /// Learned indices: average number of sub-models invoked per lookup so
-  /// far ("average depth", Section 6.2.2); 0 when not applicable.
-  double avg_query_depth = 0.0;
 };
 
 /// Common interface of all indices evaluated in the paper: the learned
@@ -41,21 +39,19 @@ struct IndexStats {
 ///
 /// Thread-safety contract: **reads are always concurrent; writes are
 /// concurrent where the kind supports buffering, exclusive otherwise.**
-/// The context-taking query methods (PointQuery / WindowQuery / KnnQuery
-/// with a QueryContext argument) are side-effect-free on the index — any
-/// number of threads may run them simultaneously, each with its own
-/// context (src/exec/ builds on this). Mutations go through
+/// The query methods (PointQuery / WindowQuery / KnnQuery /
+/// PointQueryBatch) are side-effect-free on the index — any number of
+/// threads may run them simultaneously, each with its own context
+/// (src/exec/ builds on this). Mutations go through
 /// ApplyUpdates(UpdateBatch, WriteOptions): when
 /// SupportsConcurrentUpdates() is true (the sharded index), buffered
 /// batches may run from any number of writer threads concurrently with
 /// readers — writers append into per-shard delta buffers and publish
 /// epoch snapshots, readers never block (see shard/sharded_index.h).
 /// Immediate (non-buffered) application, structural maintenance
-/// (rebuilds, Save/Load, attaching DiskBackedBlocks), and every write on
-/// a kind without concurrent-update support keep the legacy requirement:
-/// exclusive access, no query in flight. The legacy context-free query
-/// wrappers are also safe to call concurrently; they fold their costs
-/// into a thread-safe aggregate (see below).
+/// (rebuilds, Save/Load, installing block-store hooks), and every write
+/// on a kind without concurrent-update support keep the legacy
+/// requirement: exclusive access, no query in flight.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
@@ -78,58 +74,20 @@ class SpatialIndex {
   virtual std::vector<Point> KnnQuery(const Point& q, size_t k,
                                       QueryContext& ctx) const = 0;
 
-  /// Answers `n` point queries in one call, writing `out[i]` for `qs[i]`.
-  /// Results and per-call costs are identical to running PointQuery once
-  /// per point; learned indices override this to batch all sub-model
-  /// evaluations level by level through the vectorized inference engine
+  /// Answers `n` point queries in one call, writing `out[i]` for `qs[i]`
+  /// and charging query i's costs to `ctxs[i]` — each element equals what
+  /// a standalone PointQuery(qs[i], ctxs[i]) would charge. Learned
+  /// indices override this to batch all sub-model evaluations level by
+  /// level through the vectorized inference engine
   /// (src/nn/inference_engine.h), which is where their per-query
-  /// function-call and cache-miss overhead goes away. The batch query
-  /// engine (src/exec/) feeds same-workload point lookups through here.
-  virtual void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                               std::optional<PointEntry>* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = PointQuery(qs[i], ctx);
-  }
-
-  /// Per-op-attributed batch: identical results to the shared-context
-  /// overload, but query i's costs are charged to `ctxs[i]` — each
-  /// element must equal what a standalone PointQuery(qs[i]) would charge
-  /// (their sum equals the shared-context batch, which the parity tests
-  /// enforce). This is what lets the serving layer coalesce unrelated
-  /// clients' point requests into one vectorized batch while every
-  /// Response still reports its own exact QueryContext counters
-  /// (src/exec/request.h). Learned indices override both overloads from
-  /// one implementation; the default loops.
+  /// function-call and cache-miss overhead goes away. Per-op attribution
+  /// is what lets the serving layer coalesce unrelated clients' point
+  /// requests into one batch while every Response still reports its own
+  /// exact QueryContext counters (src/exec/request.h); callers that want
+  /// one total fold the contexts with QueryContext::MergeFrom.
   virtual void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                                std::optional<PointEntry>* out) const {
     for (size_t i = 0; i < n; ++i) out[i] = PointQuery(qs[i], ctxs[i]);
-  }
-
-  /// Context-free convenience wrappers (compatibility shims).
-  ///
-  /// \deprecated Prefer the QueryContext overloads: these wrappers exist
-  /// so pre-context call sites (the 23 figure benches, the examples)
-  /// compile unchanged. Each call runs the query with a throwaway
-  /// context, then folds it into the index-wide aggregate that
-  /// block_accesses() reports. They stay safe under concurrency, but the
-  /// aggregate mixes all threads' costs together — per-query accounting
-  /// needs the context overloads.
-  std::optional<PointEntry> PointQuery(const Point& q) const {
-    QueryContext ctx;
-    auto r = PointQuery(q, ctx);
-    AggregateQueryContext(ctx);
-    return r;
-  }
-  std::vector<Point> WindowQuery(const Rect& w) const {
-    QueryContext ctx;
-    auto r = WindowQuery(w, ctx);
-    AggregateQueryContext(ctx);
-    return r;
-  }
-  std::vector<Point> KnnQuery(const Point& q, size_t k) const {
-    QueryContext ctx;
-    auto r = KnnQuery(q, k, ctx);
-    AggregateQueryContext(ctx);
-    return r;
   }
 
   // --- Mutations ---
@@ -183,27 +141,16 @@ class SpatialIndex {
 
   virtual IndexStats Stats() const = 0;
 
-  /// Folds a finished per-query context into the index-wide legacy
-  /// counters. Thread-safe. Indices with extra bookkeeping (RSMI's
-  /// average query depth) extend this.
-  virtual void AggregateQueryContext(const QueryContext& ctx) const {
-    block_store().AggregateAccesses(ctx.block_accesses);
-  }
-
-  /// Block accesses aggregated from context-free queries since the index
-  /// was built.
-  ///
-  /// \deprecated Compatibility shim over the QueryContext machinery —
-  /// see the context-free query wrappers above. Kept for the figure
-  /// benches; new code should sum QueryContexts instead. The aggregate
-  /// is monotone: the old ResetBlockAccesses() shim is gone (reset-then-
-  /// measure cannot attribute costs under concurrency) — measure deltas
-  /// of this counter, or better, pass a QueryContext to the query.
-  virtual uint64_t block_accesses() const { return block_store().accesses(); }
-
-  /// The store holding this index's data blocks. Lets callers attach the
-  /// external-memory layer (DiskBackedBlocks) to any index uniformly.
-  virtual const BlockStore& block_store() const = 0;
+  /// Calls `fn` once for every BlockStore holding this index's data
+  /// blocks: a plain kind visits its own store, a sharded index visits
+  /// its shards' current bases (recursively), wrappers forward to what
+  /// they wrap. Lets callers that must see every stored block — the
+  /// external-memory layer installing its access hooks, structural
+  /// checks walking the points — treat every kind uniformly. The stores
+  /// are stable only while no merge can publish a new shard base
+  /// (exclusive access, or after FlushUpdates with no writers).
+  using BlockStoreVisitor = std::function<void(const BlockStore&)>;
+  virtual void ForEachBlockStore(const BlockStoreVisitor& fn) const = 0;
 
   // --- Polymorphic persistence (src/io/index_container.h) ---
   //

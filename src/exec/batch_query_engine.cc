@@ -157,12 +157,13 @@ void BatchQueryEngine::DrainJob(Job* job, QueryContext* ctx) {
     const bool batch_points = npts >= 2;
     if (batch_points) {
       std::optional<PointEntry> hits[kOpsPerGrab];
+      QueryContext costs[kOpsPerGrab];
       const auto t0 = std::chrono::steady_clock::now();
       if (job->rw != nullptr) {
         std::shared_lock<std::shared_mutex> lock(*job->rw);
-        index.PointQueryBatch(pts, npts, local, hits);
+        index.PointQueryBatch(pts, npts, costs, hits);
       } else {
-        index.PointQueryBatch(pts, npts, local, hits);
+        index.PointQueryBatch(pts, npts, costs, hits);
       }
       // Latency attribution: the batch is timed as a whole and split
       // evenly — per-op timers would charge the first op of a batch with
@@ -174,6 +175,7 @@ void BatchQueryEngine::DrainJob(Job* job, QueryContext* ctx) {
       for (size_t t = 0; t < npts; ++t) {
         results += hits[t].has_value() ? 1 : 0;
         (*job->latency_us)[pt_ops[t]] = per_op;
+        local.MergeFrom(costs[t]);
       }
     }
     for (size_t i = begin; i < end; ++i) {

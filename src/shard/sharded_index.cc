@@ -312,50 +312,6 @@ std::optional<PointEntry> ShardedIndex::PointQuery(const Point& q,
 }
 
 void ShardedIndex::PointQueryBatch(const Point* qs, size_t n,
-                                   QueryContext& ctx,
-                                   std::optional<PointEntry>* out) const {
-  if (n == 0) return;
-  if (num_shards() == 1) {
-    const auto ep = EpochOf(0);
-    ep->base->PointQueryBatch(qs, n, ctx, out);
-    const DeltaBuffer* mrg = LayerOrNull(ep->merging);
-    const DeltaBuffer* act = LayerOrNull(ep->delta);
-    if (mrg == nullptr && act == nullptr) return;
-    for (size_t i = 0; i < n; ++i) {
-      OverlayPointResult(mrg, act, qs[i], ctx, &out[i]);
-    }
-    return;
-  }
-  std::vector<int> shard_of(n);
-  for (size_t i = 0; i < n; ++i) {
-    shard_of[i] = partitioner_.ShardOf(qs[i]);
-  }
-  // Regroup per shard so each inner index sees one contiguous batch and
-  // its vectorized descent still batches shared sub-models.
-  std::vector<uint32_t> scratch;
-  std::vector<Point> gathered;
-  std::vector<std::optional<PointEntry>> results;
-  ForEachGroupBy(
-      n, &scratch,
-      [&](uint32_t i) { return shard_of[i]; },
-      [&](const uint32_t* idx, size_t m) {
-        gathered.resize(m);
-        results.resize(m);
-        for (size_t j = 0; j < m; ++j) gathered[j] = qs[idx[j]];
-        const auto ep = EpochOf(static_cast<size_t>(shard_of[idx[0]]));
-        ep->base->PointQueryBatch(gathered.data(), m, ctx, results.data());
-        const DeltaBuffer* mrg = LayerOrNull(ep->merging);
-        const DeltaBuffer* act = LayerOrNull(ep->delta);
-        if (mrg != nullptr || act != nullptr) {
-          for (size_t j = 0; j < m; ++j) {
-            OverlayPointResult(mrg, act, gathered[j], ctx, &results[j]);
-          }
-        }
-        for (size_t j = 0; j < m; ++j) out[idx[j]] = std::move(results[j]);
-      });
-}
-
-void ShardedIndex::PointQueryBatch(const Point* qs, size_t n,
                                    QueryContext* ctxs,
                                    std::optional<PointEntry>* out) const {
   if (n == 0) return;
@@ -374,8 +330,9 @@ void ShardedIndex::PointQueryBatch(const Point* qs, size_t n,
   for (size_t i = 0; i < n; ++i) {
     shard_of[i] = partitioner_.ShardOf(qs[i]);
   }
-  // Same per-shard regrouping as the shared-context overload, with each
-  // group's contexts gathered/scattered alongside its points so query i
+  // Regroup per shard so each inner index sees one contiguous batch and
+  // its vectorized descent still batches shared sub-models. Each group's
+  // contexts are gathered/scattered alongside its points so query i
   // still charges exactly ctxs[i].
   std::vector<uint32_t> scratch;
   std::vector<Point> gathered;
@@ -838,13 +795,13 @@ IndexStats ShardedIndex::Stats() const {
     }
   }
   ++s.height;  // the routing level above the shards
-  const uint64_t desc = descents_.load(std::memory_order_relaxed);
-  s.avg_query_depth =
-      desc == 0 ? 0.0
-                : static_cast<double>(
-                      invocations_.load(std::memory_order_relaxed)) /
-                      static_cast<double>(desc);
   return s;
+}
+
+void ShardedIndex::ForEachBlockStore(const BlockStoreVisitor& fn) const {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    EpochOf(i)->base->ForEachBlockStore(fn);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -991,25 +948,22 @@ bool ShardedIndex::LoadFrom(Deserializer& in) {
 
 namespace {
 
-/// Walks every point stored under `index` — directly from its block
-/// store, or recursively through the shards of a nested ShardedIndex
-/// (whose own store is an empty sink). Returns false as soon as `fn`
-/// rejects a point.
+/// Walks every point stored in `index`'s block stores (recursively
+/// through nested shards). Returns false as soon as `fn` rejects a point.
 bool ForEachStoredPoint(const SpatialIndex& index,
                         const std::function<bool(const Point&)>& fn) {
-  if (const auto* nested = dynamic_cast<const ShardedIndex*>(&index)) {
-    for (int i = 0; i < nested->num_shards(); ++i) {
-      if (!ForEachStoredPoint(nested->shard(i), fn)) return false;
+  bool ok = true;
+  index.ForEachBlockStore([&](const BlockStore& store) {
+    for (int id = 0; ok && id < static_cast<int>(store.NumBlocks()); ++id) {
+      for (const PointEntry& e : store.Peek(id).entries) {
+        if (!fn(e.pt)) {
+          ok = false;
+          break;
+        }
+      }
     }
-    return true;
-  }
-  const BlockStore& store = index.block_store();
-  for (int id = 0; id < static_cast<int>(store.NumBlocks()); ++id) {
-    for (const PointEntry& e : store.Peek(id).entries) {
-      if (!fn(e.pt)) return false;
-    }
-  }
-  return true;
+  });
+  return ok;
 }
 
 }  // namespace

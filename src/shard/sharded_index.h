@@ -129,9 +129,6 @@ class ShardedIndex : public SpatialIndex {
 
   std::string Name() const override;
 
-  using SpatialIndex::PointQuery;
-  using SpatialIndex::WindowQuery;
-  using SpatialIndex::KnnQuery;
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
   /// Fans out to the shards whose region intersects `w`. With
@@ -151,12 +148,8 @@ class ShardedIndex : public SpatialIndex {
 
   /// Batched point lookup: groups the queries by owning shard and feeds
   /// each group through that shard's PointQueryBatch, so the vectorized
-  /// descent of learned inner indices still kicks in. Results and
-  /// per-call costs are identical to `n` scalar PointQuery calls.
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override;
-  /// Per-op-attributed batch (see SpatialIndex): same per-shard routing,
-  /// query i's costs charged to ctxs[i].
+  /// descent of learned inner indices still kicks in. Results and per-op
+  /// costs are identical to `n` scalar PointQuery calls.
   void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                        std::optional<PointEntry>* out) const override;
 
@@ -174,25 +167,15 @@ class ShardedIndex : public SpatialIndex {
 
   /// Aggregated over all shards: num_points/size_bytes/num_models sum
   /// (size includes the shard directory: partitioner + per-shard region
-  /// table + delta buffers), height is the tallest shard plus the
-  /// routing level, and avg_query_depth is the descent-weighted
-  /// aggregate of finished contexts (like RsmiIndex).
+  /// table + delta buffers), and height is the tallest shard plus the
+  /// routing level.
   IndexStats Stats() const override;
 
-  /// Extends the base aggregation with the query-depth bookkeeping so
-  /// sharded learned indices report avg_query_depth. Thread-safe.
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    store_.AggregateAccesses(ctx.block_accesses);
-    invocations_.fetch_add(ctx.model_invocations,
-                           std::memory_order_relaxed);
-    descents_.fetch_add(ctx.descents, std::memory_order_relaxed);
-  }
-
   /// The sharded index owns no data blocks itself — every point lives in
-  /// a shard's store. This store is empty and serves only as the sink of
-  /// the legacy context-free aggregate; to attach external memory, walk
-  /// the shards (`shard(i).block_store()`).
-  const BlockStore& block_store() const override { return store_; }
+  /// a shard's store — so this visits each shard's current base in shard
+  /// order (recursively for nested sharding). Buffered delta overlays
+  /// hold no blocks and are not visited.
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override;
 
   /// Validates the partitioner, every shard's own structure, the region
   /// table, the delta overlays, and the visible point-count bookkeeping.
@@ -341,13 +324,6 @@ class ShardedIndex : public SpatialIndex {
   std::vector<uint8_t> maint_pending_;  // dedupes per-shard enqueues
   std::thread maint_thread_;
   bool maint_stop_ = false;
-
-  /// Legacy-aggregate sink (no data blocks; see block_store()).
-  BlockStore store_{0};
-  // Descent-weighted avg-depth aggregate fed from finished contexts
-  // (queries record depth in their context, never here).
-  mutable std::atomic<uint64_t> invocations_{0};
-  mutable std::atomic<uint64_t> descents_{0};
 };
 
 }  // namespace rsmi

@@ -2,7 +2,6 @@
 #define RSMI_STORAGE_BLOCK_STORE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstddef>
 #include <cstdio>
@@ -186,11 +185,9 @@ struct Block {
 ///
 /// Thread-safety contract: all read methods (Access, Peek, scans, SeqOf,
 /// NumBlocks) may run concurrently from any number of threads, because
-/// each caller accumulates costs into its own QueryContext. The legacy
-/// index-wide counter survives as a lock-free aggregate fed by
-/// AggregateAccesses(). Mutation (Alloc, MutableBlock, Unlink/Splice,
-/// ReadFrom) requires exclusive access, as does installing an access
-/// hook.
+/// each caller accumulates costs into its own QueryContext. Mutation
+/// (Alloc, MutableBlock, Unlink/Splice, ReadFrom) requires exclusive
+/// access, as does installing an access hook.
 class BlockStore {
  public:
   explicit BlockStore(int capacity) : capacity_(capacity) {}
@@ -238,8 +235,7 @@ class BlockStore {
 
   /// Counted read access, charged to the caller's QueryContext. When an
   /// access hook is installed (external-memory mode, see
-  /// DiskBackedBlocks), the hook runs first and performs the physical
-  /// page fetch that this logical access models.
+  /// xmem::ExternalIndex), the hook runs first.
   const Block& Access(int id, QueryContext& ctx) const {
     ++ctx.block_accesses;
     if (access_hook_) access_hook_(id);
@@ -247,10 +243,11 @@ class BlockStore {
   }
 
   /// Installs (or clears, with nullptr) a callback invoked on every
-  /// counted block access with the block id. DiskBackedBlocks uses this to
-  /// route accesses through a buffer pool over a paged file, turning the
-  /// paper's "# block accesses" cost model into real disk reads. Must not
-  /// race in-flight queries (attach/detach while readers are quiescent).
+  /// counted block access with the block id. xmem::ExternalIndex uses
+  /// this to feed its eviction clock: the paper's "# block accesses"
+  /// doubles as the reference bit of the block's mapped pages. The hook
+  /// must be thread-safe and must not touch any QueryContext. Must not
+  /// race in-flight queries (install/clear while readers are quiescent).
   using AccessHook = std::function<void(int)>;
   void SetAccessHook(AccessHook hook) const {
     access_hook_ = std::move(hook);
@@ -261,25 +258,6 @@ class BlockStore {
   const Block& Peek(int id) const { return blocks_[id]; }
 
   size_t NumBlocks() const { return blocks_.size(); }
-
-  /// Legacy index-wide counter (compatibility shim).
-  ///
-  /// \deprecated New code should read costs from its own QueryContext.
-  /// The aggregate only exists so pre-context callers (the figure benches
-  /// and examples) keep seeing one unified number: the SpatialIndex
-  /// convenience wrappers fold every finished context in here via
-  /// AggregateAccesses(). Thread-safe (relaxed atomic) — but two threads
-  /// interleaving queries against the same index obviously cannot
-  /// attribute the aggregate to "their" queries; that is exactly what
-  /// QueryContext is for.
-  uint64_t accesses() const {
-    return accesses_.load(std::memory_order_relaxed);
-  }
-  /// Folds `n` block accesses from a finished QueryContext into the
-  /// legacy aggregate.
-  void AggregateAccesses(uint64_t n) const {
-    accesses_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   /// Visits blocks from `begin` to `end` (inclusive) following the chain
   /// without counting accesses — callers decide what counts (e.g. the
@@ -481,7 +459,6 @@ class BlockStore {
     if (capacity_ < 1 || !ValidBlockRef(tail_)) {
       return in.Fail("block store header fields out of range");
     }
-    accesses_ = 0;
     return true;
   }
 
@@ -505,8 +482,6 @@ class BlockStore {
   int capacity_;
   int tail_ = -1;
   std::vector<Block> blocks_;
-  /// Legacy aggregate only — per-query costs live in QueryContexts.
-  mutable std::atomic<uint64_t> accesses_{0};
   mutable AccessHook access_hook_;
 };
 

@@ -84,30 +84,39 @@ ExternalIndex::~ExternalIndex() {
     if (auto* rsmi = dynamic_cast<RsmiIndex*>(inner_.get())) {
       rsmi->SetBlockPrefetchHook(nullptr);
     }
-    inner_->block_store().SetAccessHook(nullptr);
+    inner_->ForEachBlockStore(
+        [](const BlockStore& store) { store.SetAccessHook(nullptr); });
   }
 }
 
 void ExternalIndex::InstallHooks() {
   const MappedFile& map = container_->map();
-  const BlockStore& store = inner_->block_store();
-  const size_t n = store.NumBlocks();
-  block_ranges_.assign(n, BlockRange{});
+  std::vector<const BlockStore*> stores;
+  inner_->ForEachBlockStore(
+      [&](const BlockStore& store) { stores.push_back(&store); });
+  block_ranges_.assign(stores.size(), BlockRanges{});
   size_t first_entry_byte = map.size();
-  for (size_t id = 0; id < n; ++id) {
-    const Block& b = store.Peek(static_cast<int>(id));
-    if (!b.entries.borrowed() || b.entries.empty()) continue;
-    const size_t len = b.entries.size() * sizeof(PointEntry);
-    if (!map.Contains(b.entries.data(), len)) continue;
-    const size_t off = static_cast<size_t>(
-        reinterpret_cast<const uint8_t*>(b.entries.data()) - map.data());
-    block_ranges_[id].offset = off;
-    block_ranges_[id].len = len;
-    first_entry_byte = std::min(first_entry_byte, off);
+  for (size_t s = 0; s < stores.size(); ++s) {
+    const BlockStore& store = *stores[s];
+    BlockRanges& ranges = block_ranges_[s];
+    ranges.assign(store.NumBlocks(), BlockRange{});
+    for (size_t id = 0; id < ranges.size(); ++id) {
+      const Block& b = store.Peek(static_cast<int>(id));
+      if (!b.entries.borrowed() || b.entries.empty()) continue;
+      const size_t len = b.entries.size() * sizeof(PointEntry);
+      if (!map.Contains(b.entries.data(), len)) continue;
+      const size_t off = static_cast<size_t>(
+          reinterpret_cast<const uint8_t*>(b.entries.data()) - map.data());
+      ranges[id].offset = off;
+      ranges[id].len = len;
+      first_entry_byte = std::min(first_entry_byte, off);
+    }
   }
   // Everything before the first borrowed entry byte — container header,
   // models, block metadata runs — is touched by every query and never
-  // worth evicting.
+  // worth evicting. With several stores (sharded containers) only the
+  // first store's metadata lies before it; later shards' metadata sits
+  // between entry regions and may be evicted like entries.
   ResidencyGovernor::Options gopts;
   gopts.budget_bytes = opts_.rss_budget_bytes;
   gopts.chunk_bytes = opts_.chunk_bytes;
@@ -118,14 +127,19 @@ void ExternalIndex::InstallHooks() {
   // The counted block access doubles as the clock's reference feed: the
   // hook marks the block's entry span referenced, nothing else — contexts
   // are untouched, so counters stay bit-identical to an eager load.
-  store.SetAccessHook([this](int id) {
-    if (id < 0 || static_cast<size_t>(id) >= block_ranges_.size()) return;
-    const BlockRange& r = block_ranges_[static_cast<size_t>(id)];
-    if (r.offset != BlockRange::kNone) governor_->MarkRef(r.offset, r.len);
-  });
+  // Block ids are per store, so each store's hook reads its own table.
+  for (size_t s = 0; s < stores.size(); ++s) {
+    const BlockRanges* ranges = &block_ranges_[s];
+    stores[s]->SetAccessHook([this, ranges](int id) {
+      if (id < 0 || static_cast<size_t>(id) >= ranges->size()) return;
+      const BlockRange& r = (*ranges)[static_cast<size_t>(id)];
+      if (r.offset != BlockRange::kNone) governor_->MarkRef(r.offset, r.len);
+    });
+  }
   // Prediction-driven prefetch is wired for a top-level RSMI (the kind
-  // whose fused descent publishes leaf-block predictions); other kinds
-  // still get lazy loading, the budget, and the write-behind log.
+  // whose fused descent publishes leaf-block predictions; its one store
+  // is block_ranges_[0]); other kinds still get lazy loading, the
+  // budget, and the write-behind log.
   if (opts_.prefetch) {
     if (auto* rsmi = dynamic_cast<RsmiIndex*>(inner_.get())) {
       AsyncPrefetcher::Options popts;
@@ -139,17 +153,18 @@ void ExternalIndex::InstallHooks() {
 
 void ExternalIndex::PrefetchBlocks(int first, int last) {
   if (prefetcher_ == nullptr || block_ranges_.empty()) return;
+  const BlockRanges& ranges = block_ranges_[0];
   int a = std::min(first, last);
   int b = std::max(first, last);
   a = std::max(a, 0);
-  b = std::min(b, static_cast<int>(block_ranges_.size()) - 1);
+  b = std::min(b, static_cast<int>(ranges.size()) - 1);
   if (a > b) return;
   // Entries were written in block-id order, so the id range maps to one
   // contiguous byte span — a single madvise instead of per-block calls.
   size_t lo = BlockRange::kNone;
   size_t hi = 0;
   for (int id = a; id <= b; ++id) {
-    const BlockRange& r = block_ranges_[static_cast<size_t>(id)];
+    const BlockRange& r = ranges[static_cast<size_t>(id)];
     if (r.offset == BlockRange::kNone) continue;
     lo = std::min(lo, r.offset);
     hi = std::max(hi, r.offset + r.len);

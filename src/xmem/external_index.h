@@ -54,9 +54,10 @@ struct XmemOptions {
 ///    container costs one header parse, not a file read; a query faults
 ///    in exactly the blocks it scans.
 ///  - ResidencyGovernor: a hard RSS budget over the mapping, enforced by
-///    a second-chance clock fed from the BlockStore access hook (the
+///    a second-chance clock fed from the access hook of every BlockStore
+///    the index holds (every shard's, for sharded<K>:* containers) — the
 ///    per-block reference bits come for free from the paper's counted
-///    block accesses).
+///    block accesses.
 ///  - AsyncPrefetcher: RSMI's level-k leaf-block predictions are handed
 ///    to a worker pool the moment the fused descent produces them, so
 ///    cold-read faults overlap the remaining inference and scans.
@@ -99,21 +100,13 @@ class ExternalIndex : public SpatialIndex {
                               QueryContext& ctx) const override {
     return inner_->KnnQuery(q, k, ctx);
   }
-  void PointQueryBatch(const Point* qs, size_t n, QueryContext& ctx,
-                       std::optional<PointEntry>* out) const override {
-    inner_->PointQueryBatch(qs, n, ctx, out);
-  }
   void PointQueryBatch(const Point* qs, size_t n, QueryContext* ctxs,
                        std::optional<PointEntry>* out) const override {
     inner_->PointQueryBatch(qs, n, ctxs, out);
   }
   IndexStats Stats() const override { return inner_->Stats(); }
-  void AggregateQueryContext(const QueryContext& ctx) const override {
-    inner_->AggregateQueryContext(ctx);
-  }
-  uint64_t block_accesses() const override { return inner_->block_accesses(); }
-  const BlockStore& block_store() const override {
-    return inner_->block_store();
+  void ForEachBlockStore(const BlockStoreVisitor& fn) const override {
+    inner_->ForEachBlockStore(fn);
   }
   bool SupportsConcurrentUpdates() const override {
     return inner_->SupportsConcurrentUpdates();
@@ -178,6 +171,8 @@ class ExternalIndex : public SpatialIndex {
     size_t len = 0;
     static constexpr size_t kNone = static_cast<size_t>(-1);
   };
+  /// One store's block ranges, by block id as of open.
+  using BlockRanges = std::vector<BlockRange>;
 
   ExternalIndex() = default;
 
@@ -192,7 +187,9 @@ class ExternalIndex : public SpatialIndex {
   // from the mapping, and the mapping itself last.
   std::unique_ptr<MappedContainer> container_;
   std::unique_ptr<SpatialIndex> inner_;
-  std::vector<BlockRange> block_ranges_;  ///< by block id, as of open
+  /// One table per hooked store, in ForEachBlockStore order; sized once
+  /// in InstallHooks (the hooks point into it).
+  std::vector<BlockRanges> block_ranges_;
   std::unique_ptr<ResidencyGovernor> governor_;
   std::unique_ptr<AsyncPrefetcher> prefetcher_;
   std::unique_ptr<WriteBehindBuffer> wb_;

@@ -45,29 +45,32 @@ class IndexConformance : public ::testing::TestWithParam<
 };
 
 TEST_P(IndexConformance, PointQueryFindsEveryIndexedPoint) {
+  QueryContext ctx;
   Build(2500);
   for (size_t i = 0; i < data_.size(); ++i) {
-    const auto found = index_->PointQuery(data_[i]);
+    const auto found = index_->PointQuery(data_[i], ctx);
     ASSERT_TRUE(found.has_value()) << index_->Name() << " lost point " << i;
     EXPECT_TRUE(SamePosition(found->pt, data_[i]));
   }
 }
 
 TEST_P(IndexConformance, PointQueryRejectsNonIndexed) {
+  QueryContext ctx;
   Build(1500);
   const auto probes = GenerateQueryPoints(data_, 150, 7, 1e-5);
   for (const auto& q : probes) {
     if (BruteForceContains(data_, q)) continue;
-    EXPECT_FALSE(index_->PointQuery(q).has_value()) << index_->Name();
+    EXPECT_FALSE(index_->PointQuery(q, ctx).has_value()) << index_->Name();
   }
 }
 
 TEST_P(IndexConformance, WindowQueryAgainstBruteForce) {
+  QueryContext ctx;
   Build(3000);
   const auto windows = GenerateWindowQueries(data_, 25, 0.001, 1.0, 11);
   double recall_sum = 0.0;
   for (const auto& w : windows) {
-    const auto result = index_->WindowQuery(w);
+    const auto result = index_->WindowQuery(w, ctx);
     for (const auto& p : result) {
       EXPECT_TRUE(w.Contains(p)) << index_->Name() << " false positive";
     }
@@ -86,13 +89,14 @@ TEST_P(IndexConformance, WindowQueryAgainstBruteForce) {
 }
 
 TEST_P(IndexConformance, KnnQueryAgainstBruteForce) {
+  QueryContext ctx;
   Build(2000);
   const auto queries = GenerateQueryPoints(data_, 20, 17, 1e-4);
   double recall_sum = 0.0;
   size_t trials = 0;
   for (const auto& q : queries) {
     for (size_t k : {1, 10, 50}) {
-      const auto result = index_->KnnQuery(q, k);
+      const auto result = index_->KnnQuery(q, k, ctx);
       const auto truth = BruteForceKnn(data_, q, k);
       ASSERT_EQ(result.size(), truth.size()) << index_->Name();
       if (!HasApproximateQueries(kind_)) {
@@ -115,6 +119,7 @@ TEST_P(IndexConformance, KnnQueryAgainstBruteForce) {
 }
 
 TEST_P(IndexConformance, InsertionsAreFindableAndQueriesStayConsistent) {
+  QueryContext ctx;
   Build(1200);
   const auto [kind, dist] = GetParam();
   const auto extra = GenerateDataset(dist, 600, 103);  // +50%
@@ -125,12 +130,12 @@ TEST_P(IndexConformance, InsertionsAreFindableAndQueriesStayConsistent) {
     all.push_back(p);
   }
   for (size_t i = data_.size(); i < all.size(); i += 3) {
-    EXPECT_TRUE(index_->PointQuery(all[i]).has_value())
+    EXPECT_TRUE(index_->PointQuery(all[i], ctx).has_value())
         << index_->Name() << " lost inserted point";
   }
   const auto windows = GenerateWindowQueries(all, 15, 0.002, 1.0, 23);
   for (const auto& w : windows) {
-    const auto result = index_->WindowQuery(w);
+    const auto result = index_->WindowQuery(w, ctx);
     for (const auto& p : result) {
       EXPECT_TRUE(w.Contains(p)) << index_->Name();
     }
@@ -142,6 +147,7 @@ TEST_P(IndexConformance, InsertionsAreFindableAndQueriesStayConsistent) {
 }
 
 TEST_P(IndexConformance, DeletionsTakeEffect) {
+  QueryContext ctx;
   Build(1200);
   std::vector<Point> kept;
   for (size_t i = 0; i < data_.size(); ++i) {
@@ -152,16 +158,18 @@ TEST_P(IndexConformance, DeletionsTakeEffect) {
     }
   }
   for (size_t i = 0; i < data_.size(); i += 4) {
-    EXPECT_FALSE(index_->PointQuery(data_[i]).has_value()) << index_->Name();
+    EXPECT_FALSE(index_->PointQuery(data_[i], ctx).has_value())
+        << index_->Name();
     EXPECT_FALSE(index_->Delete(data_[i])) << index_->Name();
   }
   for (size_t i = 1; i < data_.size(); i += 4) {
-    EXPECT_TRUE(index_->PointQuery(data_[i]).has_value()) << index_->Name();
+    EXPECT_TRUE(index_->PointQuery(data_[i], ctx).has_value())
+        << index_->Name();
   }
   if (!HasApproximateQueries(kind_)) {
     const auto windows = GenerateWindowQueries(kept, 10, 0.002, 1.0, 29);
     for (const auto& w : windows) {
-      EXPECT_EQ(index_->WindowQuery(w).size(),
+      EXPECT_EQ(index_->WindowQuery(w, ctx).size(),
                 BruteForceWindow(kept, w).size())
           << index_->Name();
     }
@@ -174,12 +182,10 @@ TEST_P(IndexConformance, StatsAndCountersAreSane) {
   EXPECT_EQ(s.name, index_->Name());
   EXPECT_EQ(s.num_points, data_.size());
   EXPECT_GT(s.size_bytes, 0u);
-  // The legacy aggregate is monotone (no reset): the context-free
-  // wrappers must keep folding costs into the index-wide aggregate so
-  // pre-context callers see the old behavior as counter deltas.
-  const uint64_t before = index_->block_accesses();
-  index_->PointQuery(data_[0]);
-  EXPECT_GT(index_->block_accesses(), before);
+  // A query charges its cost to the caller's context.
+  QueryContext ctx;
+  index_->PointQuery(data_[0], ctx);
+  EXPECT_GT(ctx.block_accesses, 0u);
 }
 
 std::string ParamName(
@@ -247,6 +253,7 @@ TEST(ZmStructureTest, ErrorBoundsGrowWithSkew) {
 TEST(KdbStructureTest, RegionsTileTheSpaceAfterInserts) {
   // Point queries must keep following a unique region path even after
   // many page splits.
+  QueryContext ctx;
   auto data = GenerateOsmLike(800, 9);
   IndexBuildConfig cfg = TestConfig();
   auto kdb = MakeIndex(IndexKind::kKdb, data, cfg);
@@ -258,23 +265,24 @@ TEST(KdbStructureTest, RegionsTileTheSpaceAfterInserts) {
     all.push_back(p);
   }
   for (size_t i = 0; i < all.size(); i += 5) {
-    EXPECT_TRUE(kdb->PointQuery(all[i]).has_value()) << "point " << i;
+    EXPECT_TRUE(kdb->PointQuery(all[i], ctx).has_value()) << "point " << i;
   }
   // Exactness after heavy splitting.
   const auto windows = GenerateWindowQueries(all, 15, 0.001, 1.0, 31);
   for (const auto& w : windows) {
-    EXPECT_EQ(kdb->WindowQuery(w).size(), BruteForceWindow(all, w).size());
+    EXPECT_EQ(kdb->WindowQuery(w, ctx).size(), BruteForceWindow(all, w).size());
   }
 }
 
 TEST(RstarStructureTest, ForcedReinsertKeepsTreeValid) {
   // Build via pure insertions already exercises reinsertion; verify the
   // tree answers exactly afterwards.
+  QueryContext ctx;
   const auto data = GenerateNormal(3000, 13);
   const auto rstar = MakeIndex(IndexKind::kRstar, data, TestConfig());
   const auto windows = GenerateWindowQueries(data, 20, 0.001, 2.0, 37);
   for (const auto& w : windows) {
-    EXPECT_EQ(rstar->WindowQuery(w).size(),
+    EXPECT_EQ(rstar->WindowQuery(w, ctx).size(),
               BruteForceWindow(data, w).size());
   }
 }

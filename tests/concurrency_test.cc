@@ -7,15 +7,18 @@
 #include "exec/batch_query_engine.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/factory.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
-#include "storage/disk_backed_blocks.h"
+#include "io/index_container.h"
+#include "xmem/external_index.h"
 
 namespace rsmi {
 namespace {
@@ -135,8 +138,12 @@ TEST_P(ConcurrencyTest, BatchedPointPathMatchesScalarUnderEightThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       std::vector<std::optional<PointEntry>> hits(qs.size());
-      index->PointQueryBatch(qs.data(), qs.size(),
-                             costs[static_cast<size_t>(t)], hits.data());
+      std::vector<QueryContext> op_costs(qs.size());
+      index->PointQueryBatch(qs.data(), qs.size(), op_costs.data(),
+                             hits.data());
+      for (const QueryContext& c : op_costs) {
+        costs[static_cast<size_t>(t)].MergeFrom(c);
+      }
       auto& ids = got[static_cast<size_t>(t)];
       ids.resize(qs.size());
       for (size_t i = 0; i < qs.size(); ++i) {
@@ -154,27 +161,6 @@ TEST_P(ConcurrencyTest, BatchedPointPathMatchesScalarUnderEightThreads) {
               truth_cost.model_invocations)
         << "thread " << t;
   }
-}
-
-TEST_P(ConcurrencyTest, LegacyAggregateSumsAllThreads) {
-  const auto data = GenerateDataset(Distribution::kUniform, 1500, 7);
-  const auto index = MakeIndex(GetParam(), data, TestConfig());
-
-  // The context-free wrappers stay safe under concurrency: the aggregate
-  // ends up with exactly the sum of every thread's deterministic costs.
-  QueryContext single;
-  for (size_t i = 0; i < 64; ++i) index->PointQuery(data[i * 7], single);
-
-  const uint64_t before = index->block_accesses();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < 64; ++i) index->PointQuery(data[i * 7]);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(index->block_accesses() - before,
-            kThreads * single.block_accesses);
 }
 
 std::string KindName(const ::testing::TestParamInfo<IndexKind>& info) {
@@ -232,34 +218,59 @@ TEST(ConcurrencyTest, ShardedIndexEightThreadFanOutMatchesGroundTruth) {
 }
 
 TEST(ConcurrencyTest, ExternalMemoryHookIsThreadSafe) {
-  // The access hook routes every counted block access through the
-  // BufferPool over a PagedFile; with a tiny pool every thread faults
-  // pages in and out concurrently — the TSan run of this test is the
-  // proof that pool + file locking make external-memory reads safe.
-  const auto data = GenerateDataset(Distribution::kUniform, 1500, 13);
-  const auto index = MakeIndex(IndexKind::kGrid, data, TestConfig());
-  const std::string path =
-      ::testing::TempDir() + "/concurrency_hook.pag";
-  auto disk = DiskBackedBlocks::Attach(&index->block_store(), path,
-                                       /*pool_pages=*/4);
-  ASSERT_NE(disk, nullptr);
-
+  // Eight readers replay the mixed workload through xmem's mmap-backed
+  // container while the background governor enforces a one-chunk budget
+  // every millisecond and the prefetcher runs: every counted block
+  // access marks the eviction clock from a reader thread, and evicted
+  // pages refault under the readers. The TSan run of this test is the
+  // proof that the hooks, the clock and the prefetcher are race-free;
+  // every thread must still see the eager copy's answers and counters.
+  const auto data = GenerateDataset(Distribution::kSkewed, kPoints, 13);
   const auto ops = TestWorkload(data);
-  const std::vector<uint64_t> truth = Replay(*index, ops, nullptr);
+  for (const char* spec : {"rsmi", "sharded<4>:rsmi"}) {
+    SCOPED_TRACE(spec);
+    const auto built = MakeIndexFromSpec(spec, data, TestConfig());
+    ASSERT_NE(built, nullptr);
+    const std::string path = ::testing::TempDir() + "/concurrency_xmem.idx";
+    std::string err;
+    ASSERT_TRUE(SaveIndex(*built, path, &err)) << err;
+    const auto eager = LoadIndex(path, &err);
+    ASSERT_NE(eager, nullptr) << err;
+    xmem::XmemOptions opts;
+    opts.apply_env_overrides = false;
+    opts.write_behind = false;
+    opts.prefetch = true;
+    opts.governor_interval_ms = 1;
+    opts.chunk_bytes = 16 << 10;
+    opts.rss_budget_bytes = opts.chunk_bytes;
+    auto mapped = xmem::ExternalIndex::Open(path, opts, &err);
+    ASSERT_NE(mapped, nullptr) << err;
 
-  std::vector<std::vector<uint64_t>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      got[static_cast<size_t>(t)] = Replay(*index, ops, nullptr);
-    });
+    QueryContext truth_cost;
+    const std::vector<uint64_t> truth = Replay(*eager, ops, &truth_cost);
+    std::vector<std::vector<uint64_t>> got(kThreads);
+    std::vector<QueryContext> costs(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        got[static_cast<size_t>(t)] =
+            Replay(*mapped, ops, &costs[static_cast<size_t>(t)]);
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      const QueryContext& c = costs[static_cast<size_t>(t)];
+      EXPECT_EQ(got[static_cast<size_t>(t)], truth) << "thread " << t;
+      EXPECT_EQ(c.block_accesses, truth_cost.block_accesses) << "thread " << t;
+      EXPECT_EQ(c.model_invocations, truth_cost.model_invocations)
+          << "thread " << t;
+      EXPECT_EQ(c.descents, truth_cost.descents) << "thread " << t;
+      EXPECT_EQ(c.nodes_visited, truth_cost.nodes_visited) << "thread " << t;
+    }
+    EXPECT_GT(mapped->governor().evictions(), 0u);
+    mapped.reset();
+    std::remove(path.c_str());
   }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(got[static_cast<size_t>(t)], truth) << "thread " << t;
-  }
-  EXPECT_FALSE(disk->io_error());
-  EXPECT_GT(disk->pool_stats().misses, 0u);
 }
 
 TEST(BatchQueryEngineTest, MatchesSingleThreadedTotals) {

@@ -46,6 +46,7 @@ std::vector<Rect> BruteForceIntersecting(const std::vector<Rect>& objects,
 }
 
 TEST(ExtentIndexTest, ExactWindowMatchesBruteForce) {
+  QueryContext ctx;
   const auto objects = MakeObjects(Distribution::kOsm, 3000, 0.01, 5);
   RsmiExtentIndex index(objects, TestConfig());
   EXPECT_EQ(index.size(), objects.size());
@@ -53,13 +54,14 @@ TEST(ExtentIndexTest, ExactWindowMatchesBruteForce) {
   for (int trial = 0; trial < 30; ++trial) {
     const Point c{rng.Uniform(), rng.Uniform()};
     const Rect w{{c.x - 0.02, c.y - 0.02}, {c.x + 0.02, c.y + 0.02}};
-    const auto got = index.WindowQueryExact(w);
+    const auto got = index.WindowQueryExact(w, ctx);
     const auto truth = BruteForceIntersecting(objects, w);
     EXPECT_EQ(got.size(), truth.size()) << "trial " << trial;
   }
 }
 
 TEST(ExtentIndexTest, ApproximateWindowHasNoFalsePositives) {
+  QueryContext ctx;
   const auto objects = MakeObjects(Distribution::kSkewed, 3000, 0.01, 7);
   RsmiExtentIndex index(objects, TestConfig());
   Rng rng(8);
@@ -68,7 +70,7 @@ TEST(ExtentIndexTest, ApproximateWindowHasNoFalsePositives) {
   for (int trial = 0; trial < 30; ++trial) {
     const Point c{rng.Uniform(), rng.Uniform()};
     const Rect w{{c.x - 0.03, c.y - 0.03}, {c.x + 0.03, c.y + 0.03}};
-    const auto got = index.WindowQuery(w);
+    const auto got = index.WindowQuery(w, ctx);
     for (const auto& r : got) {
       EXPECT_TRUE(r.Intersects(w));
     }
@@ -82,11 +84,12 @@ TEST(ExtentIndexTest, ApproximateWindowHasNoFalsePositives) {
 
 TEST(ExtentIndexTest, StabQueryFindsCoveringObjects) {
   // A handful of big rectangles with known containment.
+  QueryContext ctx;
   std::vector<Rect> objects = MakeObjects(Distribution::kUniform, 500, 0.005, 9);
   objects.push_back(Rect{{0.4, 0.4}, {0.6, 0.6}});
   objects.push_back(Rect{{0.45, 0.45}, {0.55, 0.55}});
   RsmiExtentIndex index(objects, TestConfig());
-  const auto hits = index.StabQuery(Point{0.5, 0.5});
+  const auto hits = index.StabQuery(Point{0.5, 0.5}, ctx);
   size_t big = 0;
   for (const auto& r : hits) {
     EXPECT_TRUE(r.Contains(Point{0.5, 0.5}));
@@ -96,13 +99,14 @@ TEST(ExtentIndexTest, StabQueryFindsCoveringObjects) {
 }
 
 TEST(ExtentIndexTest, ZeroExtentObjectsDegradeToPointIndex) {
+  QueryContext ctx;
   const auto centers = GenerateDataset(Distribution::kNormal, 1000, 11);
   std::vector<Rect> objects;
   objects.reserve(centers.size());
   for (const auto& c : centers) objects.push_back(Rect{c, c});
   RsmiExtentIndex index(objects, TestConfig());
   const Rect w{{0.45, 0.45}, {0.55, 0.55}};
-  const auto got = index.WindowQueryExact(w);
+  const auto got = index.WindowQueryExact(w, ctx);
   size_t truth = 0;
   for (const auto& c : centers) {
     if (w.Contains(c)) ++truth;

@@ -46,6 +46,7 @@ std::vector<Rect> BruteForceIntersecting(const std::vector<Rect>& objects,
 class ExtentSizeTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ExtentSizeTest, ExactWindowQueryMatchesBruteForce) {
+  QueryContext ctx;
   const auto objects = RandomRects(2000, GetParam(), 71);
   RsmiExtentIndex index(objects, SmallConfig());
 
@@ -54,7 +55,7 @@ TEST_P(ExtentSizeTest, ExactWindowQueryMatchesBruteForce) {
     const Point c{rng.Uniform(), rng.Uniform()};
     const double half = 0.02 + 0.05 * rng.Uniform();
     const Rect w{{c.x - half, c.y - half}, {c.x + half, c.y + half}};
-    const auto got = index.WindowQueryExact(w);
+    const auto got = index.WindowQueryExact(w, ctx);
     const auto want = BruteForceIntersecting(objects, w);
     ASSERT_EQ(got.size(), want.size())
         << "max_side=" << GetParam() << " trial " << trial;
@@ -62,6 +63,7 @@ TEST_P(ExtentSizeTest, ExactWindowQueryMatchesBruteForce) {
 }
 
 TEST_P(ExtentSizeTest, ApproximateWindowQueryHasNoFalsePositives) {
+  QueryContext ctx;
   const auto objects = RandomRects(2000, GetParam(), 73);
   RsmiExtentIndex index(objects, SmallConfig());
 
@@ -72,7 +74,7 @@ TEST_P(ExtentSizeTest, ApproximateWindowQueryHasNoFalsePositives) {
     const Point c{rng.Uniform(), rng.Uniform()};
     const double half = 0.02 + 0.05 * rng.Uniform();
     const Rect w{{c.x - half, c.y - half}, {c.x + half, c.y + half}};
-    const auto got = index.WindowQuery(w);
+    const auto got = index.WindowQuery(w, ctx);
     for (const Rect& r : got) {
       ASSERT_TRUE(r.Intersects(w)) << "false positive";
     }
@@ -94,13 +96,14 @@ INSTANTIATE_TEST_SUITE_P(ExtentRegimes, ExtentSizeTest,
                          });
 
 TEST(ExtentStabbingTest, FindsExactlyTheContainingObjects) {
+  QueryContext ctx;
   const auto objects = RandomRects(1500, 0.03, 75);
   RsmiExtentIndex index(objects, SmallConfig());
 
   Rng rng(76);
   for (int trial = 0; trial < 200; ++trial) {
     const Point p{rng.Uniform(), rng.Uniform()};
-    const auto got = index.StabQuery(p);
+    const auto got = index.StabQuery(p, ctx);
     size_t want = 0;
     for (const Rect& r : objects) want += r.Contains(p);
     ASSERT_EQ(got.size(), want);
@@ -110,6 +113,7 @@ TEST(ExtentStabbingTest, FindsExactlyTheContainingObjects) {
 
 TEST(ExtentStabbingTest, CornersAndEdgesCountAsContained) {
   // Closed-rectangle semantics: a stab exactly on a corner hits.
+  QueryContext ctx;
   std::vector<Rect> objects = {Rect{{0.2, 0.2}, {0.4, 0.4}},
                                Rect{{0.4, 0.4}, {0.6, 0.6}}};
   // Pad with filler so the underlying index is non-trivial.
@@ -117,7 +121,7 @@ TEST(ExtentStabbingTest, CornersAndEdgesCountAsContained) {
   objects.insert(objects.end(), filler.begin(), filler.end());
   RsmiExtentIndex index(objects, SmallConfig());
 
-  const auto at_corner = index.StabQuery(Point{0.4, 0.4});
+  const auto at_corner = index.StabQuery(Point{0.4, 0.4}, ctx);
   size_t containing = 0;
   for (const Rect& r : at_corner) {
     EXPECT_TRUE(r.Contains(Point{0.4, 0.4}));
@@ -130,6 +134,7 @@ TEST(ExtentIndexTest, UniformExtentExpandsTightly) {
   // With identical extents the expansion is exact: candidate count equals
   // centers-in-expanded-window, so recall of the exact variant is 1 and
   // the approximate variant has no structural slack either.
+  QueryContext ctx;
   std::vector<Rect> objects;
   const auto centers = GenerateDataset(Distribution::kUniform, 1000, 78);
   for (const auto& c : centers) {
@@ -138,7 +143,7 @@ TEST(ExtentIndexTest, UniformExtentExpandsTightly) {
   }
   RsmiExtentIndex index(objects, SmallConfig());
   const Rect w{{0.3, 0.3}, {0.5, 0.5}};
-  EXPECT_EQ(index.WindowQueryExact(w).size(),
+  EXPECT_EQ(index.WindowQueryExact(w, ctx).size(),
             BruteForceIntersecting(objects, w).size());
 }
 

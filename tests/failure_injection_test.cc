@@ -124,11 +124,12 @@ TEST(FailureInjectionTest, LoadRejectsWrongMagic) {
 }
 
 TEST(FailureInjectionTest, SaveToUnwritablePathFails) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kUniform, 500, 45);
   RsmiIndex index(data, SmallConfig());
   EXPECT_FALSE(index.Save("/nonexistent_dir_xyz/index.idx"));
   // The index keeps working after a failed save.
-  EXPECT_TRUE(index.PointQuery(data[0]).has_value());
+  EXPECT_TRUE(index.PointQuery(data[0], ctx).has_value());
 }
 
 TEST(FailureInjectionTest, CsvLoaderSkipsMalformedLines) {
@@ -424,7 +425,6 @@ TEST(ContainerCorruptionTest, SpecPayloadMismatchIsRefused) {
 // kind persists now, so the refusal path needs a synthetic one.
 class NonPersistableIndex : public SpatialIndex {
  public:
-  NonPersistableIndex() : store_(1) {}
   std::string Name() const override { return "stub"; }
   std::optional<PointEntry> PointQuery(const Point&,
                                        QueryContext&) const override {
@@ -438,14 +438,11 @@ class NonPersistableIndex : public SpatialIndex {
     return {};
   }
   IndexStats Stats() const override { return IndexStats{}; }
-  const BlockStore& block_store() const override { return store_; }
+  void ForEachBlockStore(const BlockStoreVisitor&) const override {}
 
  protected:
   void InsertOne(const Point&) override {}
   bool DeleteOne(const Point&) override { return false; }
-
- private:
-  BlockStore store_;
 };
 
 TEST(ContainerCorruptionTest, SaveRefusesNonPersistableKinds) {

@@ -275,24 +275,28 @@ TEST_P(BatchPointParity, BatchedPointQueriesMatchScalarExactly) {
   }
 
   auto check = [&] {
-    QueryContext scalar_ctx;
+    std::vector<QueryContext> scalar_ctxs(qs.size());
     std::vector<std::optional<PointEntry>> want(qs.size());
     for (size_t i = 0; i < qs.size(); ++i) {
-      want[i] = index->PointQuery(qs[i], scalar_ctx);
+      want[i] = index->PointQuery(qs[i], scalar_ctxs[i]);
     }
-    QueryContext batch_ctx;
+    std::vector<QueryContext> batch_ctxs(qs.size());
     std::vector<std::optional<PointEntry>> got(qs.size());
-    index->PointQueryBatch(qs.data(), qs.size(), batch_ctx, got.data());
+    index->PointQueryBatch(qs.data(), qs.size(), batch_ctxs.data(),
+                           got.data());
     for (size_t i = 0; i < qs.size(); ++i) {
       ASSERT_EQ(want[i].has_value(), got[i].has_value()) << "query " << i;
       if (want[i].has_value()) {
         EXPECT_EQ(want[i]->id, got[i]->id) << "query " << i;
       }
+      // Per-op attribution: query i is charged exactly its scalar cost.
+      const QueryContext& s = scalar_ctxs[i];
+      const QueryContext& b = batch_ctxs[i];
+      EXPECT_EQ(s.block_accesses, b.block_accesses) << "query " << i;
+      EXPECT_EQ(s.model_invocations, b.model_invocations) << "query " << i;
+      EXPECT_EQ(s.descents, b.descents) << "query " << i;
+      EXPECT_EQ(s.nodes_visited, b.nodes_visited) << "query " << i;
     }
-    EXPECT_EQ(scalar_ctx.block_accesses, batch_ctx.block_accesses);
-    EXPECT_EQ(scalar_ctx.model_invocations, batch_ctx.model_invocations);
-    EXPECT_EQ(scalar_ctx.descents, batch_ctx.descents);
-    EXPECT_EQ(scalar_ctx.nodes_visited, batch_ctx.nodes_visited);
   };
   check();
 

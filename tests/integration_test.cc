@@ -26,6 +26,7 @@ IndexBuildConfig SmallConfig() {
 }
 
 TEST(IntegrationTest, AllExactIndicesAgreeOnMixedWorkload) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kOsm, 3000, 5);
   std::vector<std::unique_ptr<SpatialIndex>> exact;
   for (IndexKind kind : {IndexKind::kGrid, IndexKind::kHrr, IndexKind::kKdb,
@@ -36,7 +37,7 @@ TEST(IntegrationTest, AllExactIndicesAgreeOnMixedWorkload) {
   for (const auto& w : windows) {
     const size_t truth = BruteForceWindow(data, w).size();
     for (const auto& idx : exact) {
-      EXPECT_EQ(idx->WindowQuery(w).size(), truth) << idx->Name();
+      EXPECT_EQ(idx->WindowQuery(w, ctx).size(), truth) << idx->Name();
     }
   }
   const auto queries = GenerateQueryPoints(data, 20, 7, 1e-4);
@@ -44,7 +45,7 @@ TEST(IntegrationTest, AllExactIndicesAgreeOnMixedWorkload) {
     const auto truth = BruteForceKnn(data, q, 10);
     const double kth = Dist(truth.back(), q);
     for (const auto& idx : exact) {
-      const auto got = idx->KnnQuery(q, 10);
+      const auto got = idx->KnnQuery(q, 10, ctx);
       ASSERT_EQ(got.size(), truth.size()) << idx->Name();
       EXPECT_NEAR(Dist(got.back(), q), kth, 1e-12) << idx->Name();
     }
@@ -54,6 +55,7 @@ TEST(IntegrationTest, AllExactIndicesAgreeOnMixedWorkload) {
 TEST(IntegrationTest, InterleavedLifecycleStaysConsistent) {
   // A long interleaved stream of inserts, deletes, and queries against
   // every index, checked against a shadow set of live points.
+  QueryContext ctx;
   const auto initial = GenerateDataset(Distribution::kNormal, 1000, 9);
   const auto stream_pts = GenerateDataset(Distribution::kNormal, 1500, 10);
 
@@ -79,13 +81,13 @@ TEST(IntegrationTest, InterleavedLifecycleStaysConsistent) {
         live.pop_back();
       } else if (!live.empty()) {
         const Point q = live[rng.UniformInt(0, live.size() - 1)];
-        EXPECT_TRUE(index->PointQuery(q).has_value())
+        EXPECT_TRUE(index->PointQuery(q, ctx).has_value())
             << IndexKindName(kind) << " lost a live point at step " << step;
       }
     }
     // Final state check: every live point present, sampled heavily.
     for (size_t i = 0; i < live.size(); i += 2) {
-      EXPECT_TRUE(index->PointQuery(live[i]).has_value())
+      EXPECT_TRUE(index->PointQuery(live[i], ctx).has_value())
           << IndexKindName(kind);
     }
     EXPECT_EQ(index->Stats().num_points, live.size()) << IndexKindName(kind);
@@ -95,6 +97,7 @@ TEST(IntegrationTest, InterleavedLifecycleStaysConsistent) {
 TEST(IntegrationTest, RsmirLifecycleWithRebuilds) {
   // RSMI under sustained insertions with RSMIr-style periodic rebuilds:
   // query quality and correctness must survive multiple rebuild rounds.
+  QueryContext ctx;
   const auto initial = GenerateDataset(Distribution::kSkewed, 1000, 13);
   RsmiConfig cfg;
   cfg.block_capacity = 20;
@@ -116,7 +119,7 @@ TEST(IntegrationTest, RsmirLifecycleWithRebuilds) {
       total_rebuilds += index.RebuildOverflowingSubtrees();
       // After a rebuild everything must still be reachable.
       for (size_t j = 0; j < live.size(); j += 7) {
-        ASSERT_TRUE(index.PointQuery(live[j]).has_value())
+        ASSERT_TRUE(index.PointQuery(live[j], ctx).has_value())
             << "lost point after rebuild at step " << i;
       }
     }
@@ -126,14 +129,14 @@ TEST(IntegrationTest, RsmirLifecycleWithRebuilds) {
   // Exact queries agree with brute force at the end.
   const auto windows = GenerateWindowQueries(live, 20, 0.002, 1.0, 15);
   for (const auto& w : windows) {
-    EXPECT_EQ(index.WindowQueryExact(w).size(),
+    EXPECT_EQ(index.WindowQueryExact(w, ctx).size(),
               BruteForceWindow(live, w).size());
   }
   // Approximate window recall is still healthy after all the churn.
   double recall = 0.0;
   for (const auto& w : windows) {
     const auto truth = BruteForceWindow(live, w);
-    recall += RecallOf(index.WindowQuery(w), truth);
+    recall += RecallOf(index.WindowQuery(w, ctx), truth);
   }
   EXPECT_GT(recall / windows.size(), 0.8);
 }
@@ -141,6 +144,7 @@ TEST(IntegrationTest, RsmirLifecycleWithRebuilds) {
 TEST(IntegrationTest, ApproximateWindowsNeverReturnFalsePositives) {
   // Sweep window sizes and aspect ratios on the learned indices: the "no
   // false positives" guarantee (Section 4.2) must hold universally.
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kTiger, 2500, 17);
   for (IndexKind kind : {IndexKind::kRsmi, IndexKind::kZm}) {
     auto index = MakeIndex(kind, data, SmallConfig());
@@ -149,7 +153,7 @@ TEST(IntegrationTest, ApproximateWindowsNeverReturnFalsePositives) {
         const auto windows =
             GenerateWindowQueries(data, 10, area, aspect, 19);
         for (const auto& w : windows) {
-          for (const auto& p : index->WindowQuery(w)) {
+          for (const auto& p : index->WindowQuery(w, ctx)) {
             ASSERT_TRUE(w.Contains(p))
                 << IndexKindName(kind) << " false positive at area=" << area;
           }

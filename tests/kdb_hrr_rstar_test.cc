@@ -28,17 +28,19 @@ KdbConfig KdbTestConfig() {
 }
 
 TEST(KdbTest, DeepTreeAfterBulkLoad) {
+  QueryContext ctx;
   const auto data = GenerateSkewed(5000, 3);
   KdbTree kdb(data, KdbTestConfig());
   EXPECT_GE(kdb.Stats().height, 2);
   for (size_t i = 0; i < data.size(); i += 3) {
-    EXPECT_TRUE(kdb.PointQuery(data[i]).has_value());
+    EXPECT_TRUE(kdb.PointQuery(data[i], ctx).has_value());
   }
 }
 
 TEST(KdbTest, InternalPageSplitsUnderInsertion) {
   // With fanout 8, sustained insertion forces internal page splits and
   // the characteristic downward region splits; exactness must survive.
+  QueryContext ctx;
   const auto data = GenerateUniform(500, 5);
   KdbTree kdb(data, KdbTestConfig());
   const int height_before = kdb.Stats().height;
@@ -51,15 +53,15 @@ TEST(KdbTest, InternalPageSplitsUnderInsertion) {
   }
   EXPECT_GT(kdb.Stats().height, height_before);  // root split happened
   for (size_t i = 0; i < all.size(); i += 7) {
-    ASSERT_TRUE(kdb.PointQuery(all[i]).has_value()) << i;
+    ASSERT_TRUE(kdb.PointQuery(all[i], ctx).has_value()) << i;
   }
   const auto windows = GenerateWindowQueries(all, 20, 0.002, 1.0, 7);
   for (const auto& w : windows) {
-    EXPECT_EQ(kdb.WindowQuery(w).size(), BruteForceWindow(all, w).size());
+    EXPECT_EQ(kdb.WindowQuery(w, ctx).size(), BruteForceWindow(all, w).size());
   }
   const auto queries = GenerateQueryPoints(all, 10, 8, 1e-4);
   for (const auto& q : queries) {
-    const auto got = kdb.KnnQuery(q, 10);
+    const auto got = kdb.KnnQuery(q, 10, ctx);
     const auto truth = BruteForceKnn(all, q, 10);
     ASSERT_EQ(got.size(), truth.size());
     EXPECT_NEAR(Dist(got.back(), q), Dist(truth.back(), q), 1e-12);
@@ -69,6 +71,7 @@ TEST(KdbTest, InternalPageSplitsUnderInsertion) {
 TEST(KdbTest, PointOnSplitPlaneStaysFindable) {
   // The median point's coordinate *is* the split plane; half-open region
   // ownership must route queries to the right side.
+  QueryContext ctx;
   std::vector<Point> data;
   for (int i = 0; i < 200; ++i) {
     data.push_back(Point{static_cast<double>(i), static_cast<double>(i % 7)});
@@ -78,7 +81,7 @@ TEST(KdbTest, PointOnSplitPlaneStaysFindable) {
   cfg.fanout = 4;
   KdbTree kdb(data, cfg);
   for (const auto& p : data) {
-    ASSERT_TRUE(kdb.PointQuery(p).has_value()) << p.x;
+    ASSERT_TRUE(kdb.PointQuery(p, ctx).has_value()) << p.x;
   }
 }
 
@@ -94,17 +97,19 @@ HrrConfig HrrTestConfig() {
 }
 
 TEST(HrrTest, BulkLoadPacksBottomUp) {
+  QueryContext ctx;
   const auto data = GenerateOsmLike(4000, 9);
   HrrTree hrr(data, HrrTestConfig());
   // 4000/20 = 200 leaves, fanout 8 -> 200 -> 25 -> 4 -> 1: height 4 above
   // blocks (leaves are the blocks).
   EXPECT_GE(hrr.Stats().height, 3);
   for (size_t i = 0; i < data.size(); i += 5) {
-    EXPECT_TRUE(hrr.PointQuery(data[i]).has_value());
+    EXPECT_TRUE(hrr.PointQuery(data[i], ctx).has_value());
   }
 }
 
 TEST(HrrTest, RankSpaceWindowMappingIsExact) {
+  QueryContext ctx;
   const auto data = GenerateSkewed(3000, 11);
   HrrTree hrr(data, HrrTestConfig());
   // Degenerate and boundary windows included.
@@ -113,13 +118,14 @@ TEST(HrrTest, RankSpaceWindowMappingIsExact) {
   windows.push_back(Rect{data[0], data[0]});                    // degenerate
   windows.push_back(Rect{{0.9999, 0.9999}, {1.0, 1.0}});        // corner
   for (const auto& w : windows) {
-    EXPECT_EQ(hrr.WindowQuery(w).size(), BruteForceWindow(data, w).size());
+    EXPECT_EQ(hrr.WindowQuery(w, ctx).size(), BruteForceWindow(data, w).size());
   }
 }
 
 TEST(HrrTest, WindowExactAfterBoundaryStraddlingInserts) {
   // Inserted coordinates interleave the frozen build ranks; the
   // half-integer rank margins must keep window queries exact.
+  QueryContext ctx;
   const auto data = GenerateUniform(2000, 13);
   HrrTree hrr(data, HrrTestConfig());
   std::vector<Point> all = data;
@@ -132,7 +138,7 @@ TEST(HrrTest, WindowExactAfterBoundaryStraddlingInserts) {
   }
   const auto windows = GenerateWindowQueries(all, 25, 0.001, 2.0, 15);
   for (const auto& w : windows) {
-    EXPECT_EQ(hrr.WindowQuery(w).size(), BruteForceWindow(all, w).size());
+    EXPECT_EQ(hrr.WindowQuery(w, ctx).size(), BruteForceWindow(all, w).size());
   }
 }
 
@@ -157,13 +163,14 @@ RStarConfig RStarTestConfig() {
 }
 
 TEST(RStarTest, BuildViaInsertionsIsExact) {
+  QueryContext ctx;
   const auto data = GenerateTigerLike(4000, 19);
   RStarTree rstar(data, RStarTestConfig());
   EXPECT_EQ(rstar.Stats().num_points, data.size());
   EXPECT_GE(rstar.Stats().height, 2);
   const auto windows = GenerateWindowQueries(data, 25, 0.001, 1.0, 20);
   for (const auto& w : windows) {
-    EXPECT_EQ(rstar.WindowQuery(w).size(),
+    EXPECT_EQ(rstar.WindowQuery(w, ctx).size(),
               BruteForceWindow(data, w).size());
   }
 }
@@ -187,6 +194,7 @@ TEST(RStarTest, NodesRespectMinimumFill) {
 }
 
 TEST(RStarTest, DeleteThenQueryConsistent) {
+  QueryContext ctx;
   const auto data = GenerateUniform(2500, 23);
   RStarTree rstar(data, RStarTestConfig());
   std::vector<Point> kept;
@@ -199,12 +207,12 @@ TEST(RStarTest, DeleteThenQueryConsistent) {
   }
   const auto windows = GenerateWindowQueries(kept, 20, 0.002, 1.0, 24);
   for (const auto& w : windows) {
-    EXPECT_EQ(rstar.WindowQuery(w).size(),
+    EXPECT_EQ(rstar.WindowQuery(w, ctx).size(),
               BruteForceWindow(kept, w).size());
   }
   const auto queries = GenerateQueryPoints(kept, 10, 25, 1e-4);
   for (const auto& q : queries) {
-    const auto got = rstar.KnnQuery(q, 5);
+    const auto got = rstar.KnnQuery(q, 5, ctx);
     const auto truth = BruteForceKnn(kept, q, 5);
     ASSERT_EQ(got.size(), truth.size());
     EXPECT_NEAR(Dist(got.back(), q), Dist(truth.back(), q), 1e-12);
@@ -214,6 +222,7 @@ TEST(RStarTest, DeleteThenQueryConsistent) {
 TEST(RStarTest, SequentialAndShuffledInsertionBothWork) {
   // Sorted insertion order is the classic R-tree worst case; forced
   // reinsertion must keep the tree functional (exactness, bounded size).
+  QueryContext ctx;
   std::vector<Point> sorted;
   for (int i = 0; i < 2000; ++i) {
     sorted.push_back(Point{i / 2000.0, (i % 44) / 44.0});
@@ -221,10 +230,10 @@ TEST(RStarTest, SequentialAndShuffledInsertionBothWork) {
   DeduplicatePositions(&sorted, 26);
   RStarTree rstar(sorted, RStarTestConfig());
   for (size_t i = 0; i < sorted.size(); i += 13) {
-    EXPECT_TRUE(rstar.PointQuery(sorted[i]).has_value());
+    EXPECT_TRUE(rstar.PointQuery(sorted[i], ctx).has_value());
   }
   const Rect w{{0.25, 0.25}, {0.5, 0.75}};
-  EXPECT_EQ(rstar.WindowQuery(w).size(),
+  EXPECT_EQ(rstar.WindowQuery(w, ctx).size(),
             BruteForceWindow(sorted, w).size());
 }
 

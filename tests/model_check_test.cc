@@ -131,6 +131,7 @@ class ModelCheckTest
     : public ::testing::TestWithParam<std::tuple<Subject, Distribution>> {};
 
 TEST_P(ModelCheckTest, RandomOperationSequenceAgreesWithReference) {
+  QueryContext ctx;
   const Subject subject = std::get<0>(GetParam());
   const Distribution dist = std::get<1>(GetParam());
 
@@ -153,7 +154,7 @@ TEST_P(ModelCheckTest, RandomOperationSequenceAgreesWithReference) {
       if (ref.Contains(p)) continue;
       index->Insert(p);
       ref.Insert(p);
-      ASSERT_TRUE(index->PointQuery(p).has_value())
+      ASSERT_TRUE(index->PointQuery(p, ctx).has_value())
           << SubjectName(subject) << " lost a fresh insert at step " << step;
     } else if (op < 55) {
       // Delete a random live point (or a missing one, 1 in 5 times).
@@ -167,27 +168,26 @@ TEST_P(ModelCheckTest, RandomOperationSequenceAgreesWithReference) {
       const Point victim = ref.points()[i];
       ASSERT_TRUE(index->Delete(victim)) << SubjectName(subject);
       ref.Delete(victim);
-      ASSERT_FALSE(index->PointQuery(victim).has_value())
+      ASSERT_FALSE(index->PointQuery(victim, ctx).has_value())
           << SubjectName(subject) << " still finds a deleted point";
     } else if (op < 75) {
       // Point query for a live point and for a missing position.
       if (!ref.points().empty()) {
         const size_t i = static_cast<size_t>(rng.UniformInt(
             0, static_cast<int64_t>(ref.points().size()) - 1));
-        ASSERT_TRUE(index->PointQuery(ref.points()[i]).has_value())
+        ASSERT_TRUE(index->PointQuery(ref.points()[i], ctx).has_value())
             << SubjectName(subject) << " missed a live point at step "
             << step;
       }
-      ASSERT_FALSE(
-          index->PointQuery(Point{rng.Uniform() + 2.0, rng.Uniform() + 2.0})
-              .has_value());
+      const Point outside{rng.Uniform() + 2.0, rng.Uniform() + 2.0};
+      ASSERT_FALSE(index->PointQuery(outside, ctx).has_value());
     } else if (op < 90) {
       // Window query.
       const double side = 0.02 + 0.1 * rng.Uniform();
       const Point c{rng.Uniform(), rng.Uniform()};
       const Rect w{{c.x - side / 2, c.y - side / 2},
                    {c.x + side / 2, c.y + side / 2}};
-      const auto got = index->WindowQuery(w);
+      const auto got = index->WindowQuery(w, ctx);
       const auto want = BruteForceWindow(ref.points(), w);
       for (const Point& p : got) {
         ASSERT_TRUE(w.Contains(p))
@@ -208,7 +208,7 @@ TEST_P(ModelCheckTest, RandomOperationSequenceAgreesWithReference) {
       if (ref.points().empty()) continue;
       const size_t k = 1 + static_cast<size_t>(rng.UniformInt(0, 9));
       const Point q{rng.Uniform(), rng.Uniform()};
-      const auto got = index->KnnQuery(q, k);
+      const auto got = index->KnnQuery(q, k, ctx);
       const auto want = BruteForceKnn(ref.points(), q, k);
       ASSERT_LE(got.size(), k);
       for (const Point& p : got) {

@@ -25,6 +25,7 @@ RsmiConfig ConfigWithThreads(int threads) {
 class ParallelBuildTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelBuildTest, BitIdenticalToSequentialBuild) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kOsm, 4000, 51);
   RsmiIndex sequential(data, ConfigWithThreads(1));
   RsmiIndex parallel(data, ConfigWithThreads(GetParam()));
@@ -54,8 +55,8 @@ TEST_P(ParallelBuildTest, BitIdenticalToSequentialBuild) {
   // Identical answers (point, window, kNN) on shared workloads.
   const auto windows = GenerateWindowQueries(data, 20, 0.002, 1.0, 52);
   for (const Rect& w : windows) {
-    const auto wa = sequential.WindowQuery(w);
-    const auto wb = parallel.WindowQuery(w);
+    const auto wa = sequential.WindowQuery(w, ctx);
+    const auto wb = parallel.WindowQuery(w, ctx);
     ASSERT_EQ(wa.size(), wb.size());
     for (size_t i = 0; i < wa.size(); ++i) {
       ASSERT_TRUE(SamePosition(wa[i], wb[i]));
@@ -63,16 +64,16 @@ TEST_P(ParallelBuildTest, BitIdenticalToSequentialBuild) {
   }
   const auto queries = GenerateQueryPoints(data, 50, 53, 1e-4);
   for (const auto& q : queries) {
-    const auto ka = sequential.KnnQuery(q, 10);
-    const auto kb = parallel.KnnQuery(q, 10);
+    const auto ka = sequential.KnnQuery(q, 10, ctx);
+    const auto kb = parallel.KnnQuery(q, 10, ctx);
     ASSERT_EQ(ka.size(), kb.size());
     for (size_t i = 0; i < ka.size(); ++i) {
       ASSERT_TRUE(SamePosition(ka[i], kb[i]));
     }
   }
   for (size_t i = 0; i < data.size(); i += 13) {
-    ASSERT_EQ(sequential.PointQuery(data[i]).has_value(),
-              parallel.PointQuery(data[i]).has_value());
+    ASSERT_EQ(sequential.PointQuery(data[i], ctx).has_value(),
+              parallel.PointQuery(data[i], ctx).has_value());
   }
 }
 
@@ -83,22 +84,24 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelBuildTest,
                          });
 
 TEST(ParallelBuildTest, UpdatesWorkAfterParallelBuild) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kSkewed, 3000, 54);
   RsmiIndex index(data, ConfigWithThreads(4));
   for (int i = 0; i < 200; ++i) {
     const Point p{0.1 + i * 0.004, 0.2 + i * 0.003};
     index.Insert(p);
-    ASSERT_TRUE(index.PointQuery(p).has_value());
+    ASSERT_TRUE(index.PointQuery(p, ctx).has_value());
   }
   // Rebuild (sequential path) after a parallel build.
   index.RebuildOverflowingSubtrees();
   for (int i = 0; i < 200; ++i) {
     const Point p{0.1 + i * 0.004, 0.2 + i * 0.003};
-    ASSERT_TRUE(index.PointQuery(p).has_value());
+    ASSERT_TRUE(index.PointQuery(p, ctx).has_value());
   }
 }
 
 TEST(ParallelBuildTest, SaveLoadOfParallelBuiltIndex) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kNormal, 2500, 55);
   RsmiIndex index(data, ConfigWithThreads(4));
   const std::string path = ::testing::TempDir() + "/parallel_built.idx";
@@ -106,16 +109,17 @@ TEST(ParallelBuildTest, SaveLoadOfParallelBuiltIndex) {
   auto loaded = RsmiIndex::Load(path);
   ASSERT_NE(loaded, nullptr);
   for (size_t i = 0; i < data.size(); i += 17) {
-    EXPECT_TRUE(loaded->PointQuery(data[i]).has_value());
+    EXPECT_TRUE(loaded->PointQuery(data[i], ctx).has_value());
   }
 }
 
 TEST(ParallelBuildTest, MoreThreadsThanLeavesIsFine) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kUniform, 300, 56);
   RsmiConfig cfg = ConfigWithThreads(64);
   RsmiIndex index(data, cfg);
   for (size_t i = 0; i < data.size(); i += 5) {
-    EXPECT_TRUE(index.PointQuery(data[i]).has_value());
+    EXPECT_TRUE(index.PointQuery(data[i], ctx).has_value());
   }
 }
 

@@ -71,8 +71,10 @@ QueryTrace RunBattery(const SpatialIndex& index,
     t.points.push_back(index.PointQuery(q, t.cost));
   }
   t.batched.resize(probes.size());
-  index.PointQueryBatch(probes.data(), probes.size(), t.cost,
+  std::vector<QueryContext> batch_costs(probes.size());
+  index.PointQueryBatch(probes.data(), probes.size(), batch_costs.data(),
                         t.batched.data());
+  for (const QueryContext& c : batch_costs) t.cost.MergeFrom(c);
   for (const Rect& w : windows) {
     t.windows.push_back(index.WindowQuery(w, t.cost));
   }
@@ -305,6 +307,7 @@ TEST(SpecRoundTrip, SaveUnderBufferedWritesRoundTripsTheDeltaLog) {
 }
 
 TEST(PersistenceTest, RoundTripAnswersIdentically) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kOsm, 3000, 5);
   RsmiIndex original(data, TestConfig());
   const std::string path = TempPath("rsmi.idx");
@@ -321,8 +324,8 @@ TEST(PersistenceTest, RoundTripAnswersIdentically) {
 
   // Identical point-query results for every indexed point.
   for (size_t i = 0; i < data.size(); i += 3) {
-    const auto a = original.PointQuery(data[i]);
-    const auto b = loaded->PointQuery(data[i]);
+    const auto a = original.PointQuery(data[i], ctx);
+    const auto b = loaded->PointQuery(data[i], ctx);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(a->id, b->id);
@@ -331,14 +334,15 @@ TEST(PersistenceTest, RoundTripAnswersIdentically) {
   // Identical window and kNN answers (the models are bit-identical).
   const auto windows = GenerateWindowQueries(data, 20, 0.001, 1.0, 7);
   for (const auto& w : windows) {
-    EXPECT_EQ(original.WindowQuery(w).size(), loaded->WindowQuery(w).size());
-    EXPECT_EQ(original.WindowQueryExact(w).size(),
-              loaded->WindowQueryExact(w).size());
+    EXPECT_EQ(original.WindowQuery(w, ctx).size(),
+              loaded->WindowQuery(w, ctx).size());
+    EXPECT_EQ(original.WindowQueryExact(w, ctx).size(),
+              loaded->WindowQueryExact(w, ctx).size());
   }
   const auto queries = GenerateQueryPoints(data, 15, 9, 1e-4);
   for (const auto& q : queries) {
-    const auto a = original.KnnQuery(q, 10);
-    const auto b = loaded->KnnQuery(q, 10);
+    const auto a = original.KnnQuery(q, 10, ctx);
+    const auto b = loaded->KnnQuery(q, 10, ctx);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_TRUE(SamePosition(a[i], b[i]));
@@ -348,6 +352,7 @@ TEST(PersistenceTest, RoundTripAnswersIdentically) {
 }
 
 TEST(PersistenceTest, LoadedIndexAcceptsUpdatesAndRebuilds) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kSkewed, 1500, 11);
   RsmiIndex original(data, TestConfig());
   const std::string path = TempPath("rsmi_upd.idx");
@@ -366,14 +371,15 @@ TEST(PersistenceTest, LoadedIndexAcceptsUpdatesAndRebuilds) {
   // config to survive the round trip.
   EXPECT_GE(loaded->RebuildOverflowingSubtrees(), 1);
   for (size_t i = 0; i < all.size(); i += 5) {
-    ASSERT_TRUE(loaded->PointQuery(all[i]).has_value());
+    ASSERT_TRUE(loaded->PointQuery(all[i], ctx).has_value());
   }
   EXPECT_TRUE(loaded->Delete(all[0]));
-  EXPECT_FALSE(loaded->PointQuery(all[0]).has_value());
+  EXPECT_FALSE(loaded->PointQuery(all[0], ctx).has_value());
   std::remove(path.c_str());
 }
 
 TEST(PersistenceTest, SaveAfterUpdatesPreservesOverflowChains) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kUniform, 1000, 13);
   RsmiIndex index(data, TestConfig());
   std::vector<Point> all = data;
@@ -390,11 +396,11 @@ TEST(PersistenceTest, SaveAfterUpdatesPreservesOverflowChains) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->Stats().num_points, all.size());
   for (size_t i = 0; i < all.size(); i += 4) {
-    ASSERT_TRUE(loaded->PointQuery(all[i]).has_value()) << i;
+    ASSERT_TRUE(loaded->PointQuery(all[i], ctx).has_value()) << i;
   }
   // Window scans walk the persisted chain including overflow splices.
   const Rect hot{{0.29, 0.29}, {0.33, 0.33}};
-  EXPECT_EQ(loaded->WindowQueryExact(hot).size(),
+  EXPECT_EQ(loaded->WindowQueryExact(hot, ctx).size(),
             BruteForceWindow(all, hot).size());
   std::remove(path.c_str());
 }

@@ -50,32 +50,35 @@ class RsmiParamTest : public ::testing::TestWithParam<
 };
 
 TEST_P(RsmiParamTest, PointQueryFindsEveryIndexedPoint) {
+  QueryContext ctx;
   Build(3000);
   // Zero false negatives for indexed points: the learned grouping at build
   // time is reproduced exactly at query time, and the error bounds cover
   // every leaf prediction error (DESIGN.md key decision #1/#2).
   for (const auto& p : data_) {
-    const auto found = index_->PointQuery(p);
+    const auto found = index_->PointQuery(p, ctx);
     ASSERT_TRUE(found.has_value()) << "lost point " << p.x << "," << p.y;
     EXPECT_TRUE(SamePosition(found->pt, p));
   }
 }
 
 TEST_P(RsmiParamTest, PointQueryRejectsNonIndexedPositions) {
+  QueryContext ctx;
   Build(2000);
   const auto probes = GenerateQueryPoints(data_, 200, 7, /*perturb=*/1e-5);
   for (const auto& q : probes) {
     if (BruteForceContains(data_, q)) continue;
-    EXPECT_FALSE(index_->PointQuery(q).has_value());
+    EXPECT_FALSE(index_->PointQuery(q, ctx).has_value());
   }
 }
 
 TEST_P(RsmiParamTest, WindowQueryHasNoFalsePositivesAndGoodRecall) {
+  QueryContext ctx;
   Build(4000);
   const auto windows = GenerateWindowQueries(data_, 40, 0.001, 1.0, 11);
   double recall_sum = 0.0;
   for (const auto& w : windows) {
-    const auto result = index_->WindowQuery(w);
+    const auto result = index_->WindowQuery(w, ctx);
     for (const auto& p : result) {
       EXPECT_TRUE(w.Contains(p));  // "no false positives" (Section 4.2)
     }
@@ -88,10 +91,11 @@ TEST_P(RsmiParamTest, WindowQueryHasNoFalsePositivesAndGoodRecall) {
 }
 
 TEST_P(RsmiParamTest, WindowQueryExactMatchesBruteForce) {
+  QueryContext ctx;
   Build(3000);
   const auto windows = GenerateWindowQueries(data_, 30, 0.002, 2.0, 13);
   for (const auto& w : windows) {
-    auto result = index_->WindowQueryExact(w);
+    auto result = index_->WindowQueryExact(w, ctx);
     auto truth = BruteForceWindow(data_, w);
     ASSERT_EQ(result.size(), truth.size());
     auto cmp = [](const Point& a, const Point& b) {
@@ -106,11 +110,12 @@ TEST_P(RsmiParamTest, WindowQueryExactMatchesBruteForce) {
 }
 
 TEST_P(RsmiParamTest, KnnExactMatchesBruteForce) {
+  QueryContext ctx;
   Build(2500);
   const auto queries = GenerateQueryPoints(data_, 25, 17, 1e-4);
   for (const auto& q : queries) {
     for (size_t k : {1, 5, 25}) {
-      const auto result = index_->KnnQueryExact(q, k);
+      const auto result = index_->KnnQueryExact(q, k, ctx);
       const auto truth = BruteForceKnn(data_, q, k);
       ASSERT_EQ(result.size(), truth.size());
       // Compare by distance (ties may resolve differently).
@@ -124,13 +129,14 @@ TEST_P(RsmiParamTest, KnnExactMatchesBruteForce) {
 }
 
 TEST_P(RsmiParamTest, KnnApproximateHasGoodRecall) {
+  QueryContext ctx;
   Build(4000);
   const auto queries = GenerateQueryPoints(data_, 30, 19, 1e-4);
   double recall_sum = 0.0;
   size_t trials = 0;
   for (const auto& q : queries) {
     for (size_t k : {5, 25}) {
-      const auto result = index_->KnnQuery(q, k);
+      const auto result = index_->KnnQuery(q, k, ctx);
       const auto truth = BruteForceKnn(data_, q, k);
       recall_sum += RecallOf(result, truth);
       ++trials;
@@ -145,13 +151,14 @@ TEST_P(RsmiParamTest, KnnApproximateHasGoodRecall) {
 }
 
 TEST_P(RsmiParamTest, ApproximateWindowIsSubsetOfExact) {
+  QueryContext ctx;
   Build(3000);
   // The approximate answer misses points but never invents them, so it
   // must be a subset of the exact (RSMIa) answer on every window.
   const auto windows = GenerateWindowQueries(data_, 25, 0.001, 0.5, 41);
   for (const auto& w : windows) {
-    const auto approx = index_->WindowQuery(w);
-    const auto exact = index_->WindowQueryExact(w);
+    const auto approx = index_->WindowQuery(w, ctx);
+    const auto exact = index_->WindowQueryExact(w, ctx);
     EXPECT_LE(approx.size(), exact.size());
     for (const auto& p : approx) {
       bool in_exact = false;
@@ -167,35 +174,38 @@ TEST_P(RsmiParamTest, ApproximateWindowIsSubsetOfExact) {
 }
 
 TEST_P(RsmiParamTest, KnnApproxNeverBeatsExactDistance) {
+  QueryContext ctx;
   Build(2000);
   // The k-th approximate neighbor can only be at >= the true k-th
   // distance (the approximate answer draws from the same point set).
   const auto queries = GenerateQueryPoints(data_, 20, 43, 1e-4);
   for (const auto& q : queries) {
-    const auto approx = index_->KnnQuery(q, 10);
-    const auto exact = index_->KnnQueryExact(q, 10);
+    const auto approx = index_->KnnQuery(q, 10, ctx);
+    const auto exact = index_->KnnQueryExact(q, 10, ctx);
     ASSERT_EQ(approx.size(), exact.size());
     EXPECT_GE(Dist(approx.back(), q), Dist(exact.back(), q) - 1e-12);
   }
 }
 
 TEST_P(RsmiParamTest, InsertedPointsAreFindable) {
+  QueryContext ctx;
   Build(2000);
   const auto [dist, curve] = GetParam();
   const auto extra = GenerateDataset(dist, 400, 101);
   for (const auto& p : extra) {
     if (BruteForceContains(data_, p)) continue;
     index_->Insert(p);
-    const auto found = index_->PointQuery(p);
+    const auto found = index_->PointQuery(p, ctx);
     ASSERT_TRUE(found.has_value());
   }
   // Pre-existing points are unaffected.
   for (size_t i = 0; i < data_.size(); i += 7) {
-    EXPECT_TRUE(index_->PointQuery(data_[i]).has_value());
+    EXPECT_TRUE(index_->PointQuery(data_[i], ctx).has_value());
   }
 }
 
 TEST_P(RsmiParamTest, WindowExactStaysCorrectAfterInserts) {
+  QueryContext ctx;
   Build(1500);
   const auto [dist, curve] = GetParam();
   auto extra = GenerateDataset(dist, 750, 103);  // +50% insertions
@@ -207,19 +217,20 @@ TEST_P(RsmiParamTest, WindowExactStaysCorrectAfterInserts) {
   }
   const auto windows = GenerateWindowQueries(all, 20, 0.002, 1.0, 23);
   for (const auto& w : windows) {
-    auto result = index_->WindowQueryExact(w);
+    auto result = index_->WindowQueryExact(w, ctx);
     const auto truth = BruteForceWindow(all, w);
     EXPECT_EQ(result.size(), truth.size());
   }
   // Approximate windows still return no false positives.
   for (const auto& w : windows) {
-    for (const auto& p : index_->WindowQuery(w)) {
+    for (const auto& p : index_->WindowQuery(w, ctx)) {
       EXPECT_TRUE(w.Contains(p));
     }
   }
 }
 
 TEST_P(RsmiParamTest, DeleteRemovesPoints) {
+  QueryContext ctx;
   Build(2000);
   // Delete every third point.
   std::vector<Point> deleted;
@@ -233,22 +244,23 @@ TEST_P(RsmiParamTest, DeleteRemovesPoints) {
     }
   }
   for (size_t i = 0; i < deleted.size(); i += 5) {
-    EXPECT_FALSE(index_->PointQuery(deleted[i]).has_value());
+    EXPECT_FALSE(index_->PointQuery(deleted[i], ctx).has_value());
     EXPECT_FALSE(index_->Delete(deleted[i]));  // double delete
   }
   for (size_t i = 0; i < kept.size(); i += 5) {
-    EXPECT_TRUE(index_->PointQuery(kept[i]).has_value());
+    EXPECT_TRUE(index_->PointQuery(kept[i], ctx).has_value());
   }
   // Exact window query reflects the deletions.
   const auto windows = GenerateWindowQueries(kept, 15, 0.002, 1.0, 29);
   for (const auto& w : windows) {
-    const auto result = index_->WindowQueryExact(w);
+    const auto result = index_->WindowQueryExact(w, ctx);
     const auto truth = BruteForceWindow(kept, w);
     EXPECT_EQ(result.size(), truth.size());
   }
 }
 
 TEST_P(RsmiParamTest, DeletedSlotsAreReusedByInserts) {
+  QueryContext ctx;
   Build(1000);
   const size_t blocks_before = index_->Stats().size_bytes;
   for (size_t i = 0; i < data_.size(); i += 2) index_->Delete(data_[i]);
@@ -260,7 +272,7 @@ TEST_P(RsmiParamTest, DeletedSlotsAreReusedByInserts) {
   const size_t blocks_after = index_->Stats().size_bytes;
   EXPECT_LE(blocks_after, blocks_before + blocks_before / 2);
   for (size_t i = 0; i < data_.size(); i += 2) {
-    EXPECT_TRUE(index_->PointQuery(data_[i]).has_value());
+    EXPECT_TRUE(index_->PointQuery(data_[i], ctx).has_value());
   }
 }
 
@@ -290,20 +302,23 @@ TEST(RsmiStructureTest, StatsReflectRecursivePartitioning) {
   EXPECT_GE(s.height, 2);      // 5000 > N=400 forces at least one split
   EXPECT_GT(s.num_models, 1u);
   EXPECT_GT(s.size_bytes, data.size() * sizeof(PointEntry) / 2);
-  // Depth tracking kicks in once queries run.
-  EXPECT_DOUBLE_EQ(s.avg_query_depth, 0.0);
-  index.PointQuery(data[0]);
-  EXPECT_GE(index.AvgQueryDepth(), 2.0);
+  // The query's context records its depth (Section 6.2.2): one descent
+  // through at least one internal sub-model and the leaf model.
+  QueryContext ctx;
+  index.PointQuery(data[0], ctx);
+  EXPECT_EQ(ctx.descents, 1u);
+  EXPECT_GE(ctx.model_invocations, 2u);
 }
 
 TEST(RsmiStructureTest, SingleLeafWhenSmall) {
+  QueryContext ctx;
   const auto data = GenerateUniform(100, 4);
   RsmiConfig cfg = TestConfig();
   RsmiIndex index(data, cfg);
   EXPECT_EQ(index.Stats().height, 1);
   EXPECT_EQ(index.Stats().num_models, 1u);
   for (const auto& p : data) {
-    EXPECT_TRUE(index.PointQuery(p).has_value());
+    EXPECT_TRUE(index.PointQuery(p, ctx).has_value());
   }
 }
 
@@ -318,35 +333,39 @@ TEST(RsmiStructureTest, ErrorBoundsAreReported) {
 }
 
 TEST(RsmiStructureTest, EmptyIndex) {
+  QueryContext ctx;
   RsmiIndex index({}, TestConfig());
-  EXPECT_FALSE(index.PointQuery(Point{0.5, 0.5}).has_value());
-  EXPECT_TRUE(index.WindowQuery(Rect::UnitSquare()).empty());
-  EXPECT_TRUE(index.WindowQueryExact(Rect::UnitSquare()).empty());
-  EXPECT_TRUE(index.KnnQuery(Point{0.5, 0.5}, 5).empty());
-  EXPECT_TRUE(index.KnnQueryExact(Point{0.5, 0.5}, 5).empty());
+  EXPECT_FALSE(index.PointQuery(Point{0.5, 0.5}, ctx).has_value());
+  EXPECT_TRUE(index.WindowQuery(Rect::UnitSquare(), ctx).empty());
+  EXPECT_TRUE(index.WindowQueryExact(Rect::UnitSquare(), ctx).empty());
+  EXPECT_TRUE(index.KnnQuery(Point{0.5, 0.5}, 5, ctx).empty());
+  EXPECT_TRUE(index.KnnQueryExact(Point{0.5, 0.5}, 5, ctx).empty());
   EXPECT_FALSE(index.Delete(Point{0.5, 0.5}));
 }
 
 TEST(RsmiStructureTest, TinyDatasets) {
+  QueryContext ctx;
   for (size_t n : {1u, 19u, 20u, 21u, 41u}) {
     const auto data = GenerateUniform(n, 6 + n);
     RsmiIndex index(data, TestConfig());
     for (const auto& p : data) {
-      EXPECT_TRUE(index.PointQuery(p).has_value());
+      EXPECT_TRUE(index.PointQuery(p, ctx).has_value());
     }
-    const auto knn = index.KnnQueryExact(Point{0.5, 0.5}, 5);
+    const auto knn = index.KnnQueryExact(Point{0.5, 0.5}, 5, ctx);
     EXPECT_EQ(knn.size(), std::min<size_t>(5, n));
   }
 }
 
 TEST(RsmiStructureTest, KnnLargerThanDataset) {
+  QueryContext ctx;
   const auto data = GenerateUniform(50, 8);
   RsmiIndex index(data, TestConfig());
-  EXPECT_EQ(index.KnnQueryExact(Point{0.1, 0.9}, 100).size(), 50u);
-  EXPECT_EQ(index.KnnQuery(Point{0.1, 0.9}, 100).size(), 50u);
+  EXPECT_EQ(index.KnnQueryExact(Point{0.1, 0.9}, 100, ctx).size(), 50u);
+  EXPECT_EQ(index.KnnQuery(Point{0.1, 0.9}, 100, ctx).size(), 50u);
 }
 
 TEST(RsmiStructureTest, DeterministicBuildAndQueries) {
+  QueryContext ctx;
   const auto data = GenerateOsmLike(2000, 12);
   RsmiConfig cfg = TestConfig();
   RsmiIndex a(data, cfg);
@@ -356,7 +375,7 @@ TEST(RsmiStructureTest, DeterministicBuildAndQueries) {
   EXPECT_EQ(a.MaxErrBelow(), b.MaxErrBelow());
   const auto windows = GenerateWindowQueries(data, 10, 0.001, 1.0, 31);
   for (const auto& w : windows) {
-    EXPECT_EQ(a.WindowQuery(w).size(), b.WindowQuery(w).size());
+    EXPECT_EQ(a.WindowQuery(w, ctx).size(), b.WindowQuery(w, ctx).size());
   }
 }
 
@@ -380,6 +399,7 @@ TEST(RsmiStructureTest, BlockAccessCountingWorks) {
 }
 
 TEST(RsmiRebuildTest, RebuildRestoresThresholdAndCorrectness) {
+  QueryContext ctx;
   auto data = GenerateUniform(1200, 21);
   RsmiConfig cfg = TestConfig();
   RsmiIndex index(data, cfg);
@@ -397,15 +417,15 @@ TEST(RsmiRebuildTest, RebuildRestoresThresholdAndCorrectness) {
 
   // Everything remains findable after the splice-in-place rebuild.
   for (size_t i = 0; i < all.size(); i += 3) {
-    ASSERT_TRUE(index.PointQuery(all[i]).has_value())
+    ASSERT_TRUE(index.PointQuery(all[i], ctx).has_value())
         << "lost point " << i << " after rebuild";
   }
   // Exact window query equals brute force across the rebuilt region.
   const Rect hot{{0.24, 0.24}, {0.27, 0.27}};
-  EXPECT_EQ(index.WindowQueryExact(hot).size(),
+  EXPECT_EQ(index.WindowQueryExact(hot, ctx).size(),
             BruteForceWindow(all, hot).size());
   // Approximate window query across the whole space keeps working.
-  const auto res = index.WindowQuery(Rect{{0.2, 0.2}, {0.3, 0.3}});
+  const auto res = index.WindowQuery(Rect{{0.2, 0.2}, {0.3, 0.3}}, ctx);
   for (const auto& p : res) {
     EXPECT_TRUE((Rect{{0.2, 0.2}, {0.3, 0.3}}).Contains(p));
   }
@@ -414,6 +434,7 @@ TEST(RsmiRebuildTest, RebuildRestoresThresholdAndCorrectness) {
 }
 
 TEST(RsmiRebuildTest, RebuildOfRootLeaf) {
+  QueryContext ctx;
   auto data = GenerateUniform(300, 22);
   RsmiConfig cfg = TestConfig();  // N=400: single leaf
   RsmiIndex index(data, cfg);
@@ -428,7 +449,7 @@ TEST(RsmiRebuildTest, RebuildOfRootLeaf) {
   EXPECT_EQ(index.RebuildOverflowingSubtrees(), 1);
   EXPECT_GE(index.Stats().height, 2);  // grew past N: now recursive
   for (size_t i = 0; i < all.size(); i += 2) {
-    EXPECT_TRUE(index.PointQuery(all[i]).has_value());
+    EXPECT_TRUE(index.PointQuery(all[i], ctx).has_value());
   }
 }
 

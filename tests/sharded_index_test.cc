@@ -361,9 +361,12 @@ TEST(ShardedIndexTest, ShardedRsmiPointExactBatchedCountParity) {
     }
   }
 
-  QueryContext batch_ctx;
+  std::vector<QueryContext> batch_ctxs(qs.size());
   std::vector<std::optional<PointEntry>> batched(qs.size());
-  sharded->PointQueryBatch(qs.data(), qs.size(), batch_ctx, batched.data());
+  sharded->PointQueryBatch(qs.data(), qs.size(), batch_ctxs.data(),
+                           batched.data());
+  QueryContext batch_ctx;
+  for (const QueryContext& c : batch_ctxs) batch_ctx.MergeFrom(c);
   for (size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(batched[i].has_value(), scalar[i].has_value()) << i;
     if (scalar[i].has_value()) {
@@ -390,7 +393,7 @@ TEST(ShardedIndexTest, ShardedRsmiPointExactBatchedCountParity) {
   }
 }
 
-// --- aggregation: stats, size, legacy counters, engine ---
+// --- aggregation: stats, size, engine ---
 
 TEST(ShardedIndexTest, StatsAggregateAcrossShardsWithDirectoryOverhead) {
   const auto data = GenerateDataset(Distribution::kUniform, kPoints, 42);
@@ -422,17 +425,6 @@ TEST(ShardedIndexTest, StatsAggregateAcrossShardsWithDirectoryOverhead) {
   EXPECT_GT(st.size_bytes, inner_bytes);
   EXPECT_GE(st.size_bytes,
             inner_bytes + sharded->partitioner().SizeBytes());
-
-  // avg_query_depth aggregates from finished contexts like RsmiIndex.
-  QueryContext ctx;
-  for (size_t i = 0; i < 64; ++i) index->PointQuery(data[i * 5], ctx);
-  EXPECT_GT(ctx.descents, 0u);
-  index->AggregateQueryContext(ctx);
-  EXPECT_GT(index->Stats().avg_query_depth, 0.0);
-  // Legacy context-free wrappers feed the sharded aggregate sink.
-  const uint64_t before = index->block_accesses();
-  index->PointQuery(data[0]);
-  EXPECT_GT(index->block_accesses(), before);
 }
 
 TEST(ShardedIndexTest, RegionsRouteAndGrowOnOutOfBoundsInsert) {

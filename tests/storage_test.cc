@@ -37,13 +37,6 @@ TEST(BlockStoreTest, AccessCounting) {
   store.MutableBlock(a);  // uncounted
   store.Peek(a);          // uncounted
   EXPECT_EQ(ctx.block_accesses, 5u);
-  // The legacy aggregate only sees contexts folded into it.
-  EXPECT_EQ(store.accesses(), 0u);
-  store.AggregateAccesses(ctx.block_accesses);
-  EXPECT_EQ(store.accesses(), 5u);
-  // The aggregate is monotone: callers measure deltas, never reset.
-  store.AggregateAccesses(ctx.block_accesses);
-  EXPECT_EQ(store.accesses(), 10u);
 }
 
 TEST(BlockStoreTest, InsertedBlockSplicesMidChain) {

@@ -41,20 +41,22 @@ class UpdateStrategyTest : public ::testing::TestWithParam<UpdateStrategy> {
 };
 
 TEST_P(UpdateStrategyTest, InsertedPointsAreFindable) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kSkewed, 2000, 3);
   RsmiIndex index(data, Config());
   const auto stream = InsertStream(500, 77);
   for (const auto& p : stream) index.Insert(p);
   for (const auto& p : stream) {
-    EXPECT_TRUE(index.PointQuery(p).has_value());
+    EXPECT_TRUE(index.PointQuery(p, ctx).has_value());
   }
   // Original points remain findable too.
   for (size_t i = 0; i < data.size(); i += 7) {
-    EXPECT_TRUE(index.PointQuery(data[i]).has_value());
+    EXPECT_TRUE(index.PointQuery(data[i], ctx).has_value());
   }
 }
 
 TEST_P(UpdateStrategyTest, WindowQueriesSeeInsertedPoints) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kNormal, 2000, 4);
   RsmiIndex index(data, Config());
   const auto stream = InsertStream(600, 78);
@@ -64,18 +66,19 @@ TEST_P(UpdateStrategyTest, WindowQueriesSeeInsertedPoints) {
   all.insert(all.end(), stream.begin(), stream.end());
   const auto windows = GenerateWindowQueries(all, 25, 0.002, 1.0, 11);
   for (const Rect& w : windows) {
-    const auto got = index.WindowQueryExact(w);
+    const auto got = index.WindowQueryExact(w, ctx);
     const auto want = BruteForceWindow(all, w);
     EXPECT_EQ(got.size(), want.size());
     // The approximate window query must not return false positives and
     // must see at least the buffered points it is responsible for.
-    for (const Point& p : index.WindowQuery(w)) {
+    for (const Point& p : index.WindowQuery(w, ctx)) {
       EXPECT_TRUE(w.Contains(p));
     }
   }
 }
 
 TEST_P(UpdateStrategyTest, KnnSeesInsertedPoints) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kUniform, 1500, 5);
   RsmiIndex index(data, Config());
   const auto stream = InsertStream(400, 79);
@@ -85,19 +88,20 @@ TEST_P(UpdateStrategyTest, KnnSeesInsertedPoints) {
   all.insert(all.end(), stream.begin(), stream.end());
   const auto queries = GenerateQueryPoints(all, 40, 13, 1e-4);
   for (const auto& q : queries) {
-    const auto exact = index.KnnQueryExact(q, 10);
+    const auto exact = index.KnnQueryExact(q, 10, ctx);
     const auto truth = BruteForceKnn(all, q, 10);
     ASSERT_EQ(exact.size(), truth.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_NEAR(Dist(q, exact[i]), Dist(q, truth[i]), 1e-12);
     }
     // Approximate kNN: recall against the updated data set stays high.
-    const auto approx = index.KnnQuery(q, 10);
+    const auto approx = index.KnnQuery(q, 10, ctx);
     EXPECT_GE(RecallOf(approx, truth), 0.5);
   }
 }
 
 TEST_P(UpdateStrategyTest, DeleteRemovesInsertedAndBuiltPoints) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kTiger, 1200, 6);
   RsmiIndex index(data, Config());
   const auto stream = InsertStream(300, 80);
@@ -116,16 +120,17 @@ TEST_P(UpdateStrategyTest, DeleteRemovesInsertedAndBuiltPoints) {
   EXPECT_EQ(index.Stats().num_points, data.size() + stream.size() - deleted);
 
   for (size_t i = 0; i < stream.size(); i += 3) {
-    EXPECT_FALSE(index.PointQuery(stream[i]).has_value());
+    EXPECT_FALSE(index.PointQuery(stream[i], ctx).has_value());
   }
   for (size_t i = 0; i < data.size(); i += 5) {
-    EXPECT_FALSE(index.PointQuery(data[i]).has_value());
+    EXPECT_FALSE(index.PointQuery(data[i], ctx).has_value());
   }
   // Deleting twice fails cleanly.
   EXPECT_FALSE(index.Delete(stream[0]));
 }
 
 TEST_P(UpdateStrategyTest, SaveLoadPreservesPendingInserts) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kOsm, 1500, 7);
   RsmiIndex index(data, Config());
   const auto stream = InsertStream(250, 81);
@@ -139,7 +144,7 @@ TEST_P(UpdateStrategyTest, SaveLoadPreservesPendingInserts) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->Stats().num_points, index.Stats().num_points);
   for (const auto& p : stream) {
-    EXPECT_TRUE(loaded->PointQuery(p).has_value());
+    EXPECT_TRUE(loaded->PointQuery(p, ctx).has_value());
   }
 }
 
@@ -153,6 +158,7 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, UpdateStrategyTest,
                          });
 
 TEST(LeafBufferTest, BufferMergesWhenFull) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kUniform, 1000, 8);
   RsmiConfig cfg = BaseConfig();
   cfg.update_strategy = UpdateStrategy::kLeafBuffer;
@@ -172,7 +178,7 @@ TEST(LeafBufferTest, BufferMergesWhenFull) {
   Rng rng2(9);
   for (int i = 0; i < 400; ++i) {
     const Point p{0.4 + 0.01 * rng2.Uniform(), 0.4 + 0.01 * rng2.Uniform()};
-    EXPECT_TRUE(index.PointQuery(p).has_value());
+    EXPECT_TRUE(index.PointQuery(p, ctx).has_value());
   }
 }
 
@@ -191,6 +197,7 @@ TEST(LeafBufferTest, NoOverflowBlocksCreated) {
 }
 
 TEST(FillFactorTest, GapsAbsorbInsertsWithoutOverflowBlocks) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kUniform, 2000, 11);
 
   auto count_overflow = [](const RsmiIndex& index) {
@@ -220,18 +227,19 @@ TEST(FillFactorTest, GapsAbsorbInsertsWithoutOverflowBlocks) {
 
   // Identical answers from both layouts.
   for (const auto& p : stream) {
-    EXPECT_TRUE(gapped_index.PointQuery(p).has_value());
+    EXPECT_TRUE(gapped_index.PointQuery(p, ctx).has_value());
   }
   std::vector<Point> all = data;
   all.insert(all.end(), stream.begin(), stream.end());
   const auto windows = GenerateWindowQueries(all, 20, 0.002, 1.0, 15);
   for (const Rect& w : windows) {
-    EXPECT_EQ(gapped_index.WindowQueryExact(w).size(),
+    EXPECT_EQ(gapped_index.WindowQueryExact(w, ctx).size(),
               BruteForceWindow(all, w).size());
   }
 }
 
 TEST(FillFactorTest, GappedBuildUsesMoreBlocks) {
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kNormal, 2000, 12);
   RsmiConfig dense = BaseConfig();
   RsmiConfig gapped = BaseConfig();
@@ -243,13 +251,14 @@ TEST(FillFactorTest, GappedBuildUsesMoreBlocks) {
             dense_index.block_store().NumBlocks() * 3 / 2);
   // Queries stay correct on the gapped layout.
   for (size_t i = 0; i < data.size(); i += 9) {
-    EXPECT_TRUE(gapped_index.PointQuery(data[i]).has_value());
+    EXPECT_TRUE(gapped_index.PointQuery(data[i], ctx).has_value());
   }
 }
 
 TEST(FillFactorTest, RsmirRebuildKeepsStrategySemantics) {
   // RSMIr periodic rebuild under kLeafBuffer drains buffers; overflowing
   // leaves disappear and all points stay reachable.
+  QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kSkewed, 1500, 13);
   RsmiConfig cfg = BaseConfig();
   cfg.update_strategy = UpdateStrategy::kLeafBuffer;
@@ -258,10 +267,10 @@ TEST(FillFactorTest, RsmirRebuildKeepsStrategySemantics) {
   for (const auto& p : stream) index.Insert(p);
   index.RebuildOverflowingSubtrees();
   for (const auto& p : stream) {
-    EXPECT_TRUE(index.PointQuery(p).has_value());
+    EXPECT_TRUE(index.PointQuery(p, ctx).has_value());
   }
   for (size_t i = 0; i < data.size(); i += 11) {
-    EXPECT_TRUE(index.PointQuery(data[i]).has_value());
+    EXPECT_TRUE(index.PointQuery(data[i], ctx).has_value());
   }
 }
 

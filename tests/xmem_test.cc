@@ -70,8 +70,10 @@ QueryTrace RunBattery(const SpatialIndex& index,
     t.points.push_back(index.PointQuery(q, t.cost));
   }
   t.batched.resize(probes.size());
-  index.PointQueryBatch(probes.data(), probes.size(), t.cost,
+  std::vector<QueryContext> batch_costs(probes.size());
+  index.PointQueryBatch(probes.data(), probes.size(), batch_costs.data(),
                         t.batched.data());
+  for (const QueryContext& c : batch_costs) t.cost.MergeFrom(c);
   for (const Rect& w : windows) {
     t.windows.push_back(index.WindowQuery(w, t.cost));
   }
@@ -141,6 +143,15 @@ Workload MakeWorkload(size_t n, uint64_t seed) {
 
 // --- lazy-load parity across every persistable spec ---
 
+/// `spec` with every non-alphanumeric character replaced by '_' (test
+/// names and temp file names).
+std::string SpecTag(std::string spec) {
+  for (char& c : spec) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return spec;
+}
+
 class XmemSpecParity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(XmemSpecParity, MmapLoadIsBitIdenticalToEagerLoad) {
@@ -148,11 +159,7 @@ TEST_P(XmemSpecParity, MmapLoadIsBitIdenticalToEagerLoad) {
   const Workload w = MakeWorkload(2500, 17);
   auto built = MakeIndexFromSpec(spec, w.data, SpecConfig());
   ASSERT_NE(built, nullptr);
-  std::string tag = spec;
-  for (char& c : tag) {
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  }
-  const std::string path = TempPath("xmem_parity_" + tag + ".idx");
+  const std::string path = TempPath("xmem_parity_" + SpecTag(spec) + ".idx");
   std::string err;
   ASSERT_TRUE(SaveIndex(*built, path, &err)) << err;
 
@@ -173,19 +180,45 @@ TEST_P(XmemSpecParity, MmapLoadIsBitIdenticalToEagerLoad) {
   std::remove(path.c_str());
 }
 
+// Every store the index holds is hooked — for sharded<K>:* that is every
+// shard's — so the budget binds on all specs.
+TEST_P(XmemSpecParity, BudgetEnforcementEvictsAndQueriesRefault) {
+  const std::string spec = GetParam();
+  const Workload w = MakeWorkload(5000, 37);
+  auto built = MakeIndexFromSpec(spec, w.data, SpecConfig());
+  ASSERT_NE(built, nullptr);
+  const std::string path = TempPath("xmem_budget_" + SpecTag(spec) + ".idx");
+  std::string err;
+  ASSERT_TRUE(SaveIndex(*built, path, &err)) << err;
+
+  xmem::XmemOptions opts = TestXmemOptions();
+  opts.rss_budget_bytes = 64 << 10;  // far below the container size
+  opts.chunk_bytes = 16 << 10;
+  opts.prefetch = false;
+  auto mapped = xmem::ExternalIndex::Open(path, opts, &err);
+  ASSERT_NE(mapped, nullptr) << err;
+
+  const QueryTrace before =
+      RunBattery(*mapped, w.probes, w.windows, w.knn_queries);
+  EXPECT_GT(mapped->governor().first_touches(), 0u);
+  const size_t resident_before = mapped->governor().ResidentBytes();
+  ASSERT_GT(resident_before, opts.rss_budget_bytes);
+  const size_t evicted = mapped->EnforceBudget();
+  EXPECT_GT(evicted, 0u);
+  EXPECT_GT(mapped->governor().evictions(), 0u);
+  EXPECT_LT(mapped->governor().ResidentBytes(), resident_before);
+
+  // Evicted pages refault on demand: answers and counters unchanged.
+  ExpectSameTrace(before,
+                  RunBattery(*mapped, w.probes, w.windows, w.knn_queries));
+  std::remove(path.c_str());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSpecs, XmemSpecParity,
                          ::testing::Values("rsmi", "rsmia", "zm", "grid",
                                            "rstar", "kdb", "hrr",
                                            "sharded<4>:rsmi"),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (!std::isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         [](const auto& info) { return SpecTag(info.param); });
 
 TEST(XmemTest, LazyLoadBorrowsEntriesZeroCopy) {
   const Workload w = MakeWorkload(2000, 29);
@@ -197,23 +230,18 @@ TEST(XmemTest, LazyLoadBorrowsEntriesZeroCopy) {
   ASSERT_NE(mapped, nullptr) << err;
   // The v4 layout 8-aligns the entries region, so every non-empty block
   // borrows straight from the mapping — no entry copies on open.
-  const BlockStore& store = mapped->block_store();
   size_t borrowed = 0;
-  for (size_t id = 0; id < store.NumBlocks(); ++id) {
-    const Block& b = store.Peek(static_cast<int>(id));
-    if (!b.entries.empty() && b.entries.borrowed()) ++borrowed;
-  }
+  size_t nonempty = 0;
+  mapped->ForEachBlockStore([&](const BlockStore& store) {
+    for (size_t id = 0; id < store.NumBlocks(); ++id) {
+      const Block& b = store.Peek(static_cast<int>(id));
+      if (b.entries.empty()) continue;
+      ++nonempty;
+      if (b.entries.borrowed()) ++borrowed;
+    }
+  });
   EXPECT_GT(borrowed, 0u);
-  EXPECT_EQ(borrowed,
-            [&] {
-              size_t nonempty = 0;
-              for (size_t id = 0; id < store.NumBlocks(); ++id) {
-                if (!store.Peek(static_cast<int>(id)).entries.empty()) {
-                  ++nonempty;
-                }
-              }
-              return nonempty;
-            }());
+  EXPECT_EQ(borrowed, nonempty);
   std::remove(path.c_str());
 }
 
@@ -240,36 +268,6 @@ TEST(XmemTest, PrefetchOnAndOffAreBitIdentical) {
   with->DrainPrefetch();
   // The fused descent published predictions; the workers issued them.
   EXPECT_GT(with->prefetcher()->issued(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(XmemTest, BudgetEnforcementEvictsAndQueriesRefault) {
-  const Workload w = MakeWorkload(5000, 37);
-  auto built = MakeIndexFromSpec("rsmi", w.data, SpecConfig());
-  const std::string path = TempPath("xmem_budget.idx");
-  std::string err;
-  ASSERT_TRUE(SaveIndex(*built, path, &err)) << err;
-
-  xmem::XmemOptions opts = TestXmemOptions();
-  opts.rss_budget_bytes = 64 << 10;  // far below the container size
-  opts.chunk_bytes = 16 << 10;
-  opts.prefetch = false;
-  auto mapped = xmem::ExternalIndex::Open(path, opts, &err);
-  ASSERT_NE(mapped, nullptr) << err;
-
-  const QueryTrace before =
-      RunBattery(*mapped, w.probes, w.windows, w.knn_queries);
-  EXPECT_GT(mapped->governor().first_touches(), 0u);
-  const size_t resident_before = mapped->governor().ResidentBytes();
-  ASSERT_GT(resident_before, opts.rss_budget_bytes);
-  const size_t evicted = mapped->EnforceBudget();
-  EXPECT_GT(evicted, 0u);
-  EXPECT_GT(mapped->governor().evictions(), 0u);
-  EXPECT_LT(mapped->governor().ResidentBytes(), resident_before);
-
-  // Evicted pages refault on demand: answers and counters unchanged.
-  ExpectSameTrace(before,
-                  RunBattery(*mapped, w.probes, w.windows, w.knn_queries));
   std::remove(path.c_str());
 }
 

@@ -66,12 +66,13 @@ TEST(ZmTest, WindowUsesCornerZValues) {
   // sit at the bottom-left and top-right corners, so scanning the range
   // those corners predict yields every answer the scan range covers,
   // never points outside the window.
+  QueryContext ctx;
   const auto data = GenerateNormal(6000, 9);
   ZmIndex zm(data, TestConfig());
   const auto windows = GenerateWindowQueries(data, 30, 0.002, 1.0, 11);
   double recall_sum = 0.0;
   for (const auto& w : windows) {
-    const auto res = zm.WindowQuery(w);
+    const auto res = zm.WindowQuery(w, ctx);
     for (const auto& p : res) {
       EXPECT_TRUE(w.Contains(p));
     }
@@ -84,6 +85,7 @@ TEST(ZmTest, DuplicateZValuesAcrossBlockBoundary) {
   // Points in the same Z-cell can straddle a block boundary; neighbor
   // expansion must still find them all. Build a set with many points in
   // one tiny cell.
+  QueryContext ctx;
   std::vector<Point> data = GenerateUniform(2000, 13);
   Rng rng(14);
   for (int i = 0; i < 100; ++i) {
@@ -94,11 +96,12 @@ TEST(ZmTest, DuplicateZValuesAcrossBlockBoundary) {
   DeduplicatePositions(&data, 15);
   ZmIndex zm(data, TestConfig());
   for (size_t i = data.size() - 100; i < data.size(); ++i) {
-    EXPECT_TRUE(zm.PointQuery(data[i]).has_value()) << i;
+    EXPECT_TRUE(zm.PointQuery(data[i], ctx).has_value()) << i;
   }
 }
 
 TEST(ZmTest, InsertExpandsBlockRanges) {
+  QueryContext ctx;
   const auto data = GenerateUniform(3000, 17);
   ZmIndex zm(data, TestConfig());
   // Insert points into a region and verify both them and their neighbors
@@ -111,25 +114,26 @@ TEST(ZmTest, InsertExpandsBlockRanges) {
     inserted.push_back(p);
   }
   for (const auto& p : inserted) {
-    EXPECT_TRUE(zm.PointQuery(p).has_value());
+    EXPECT_TRUE(zm.PointQuery(p, ctx).has_value());
   }
   for (size_t i = 0; i < data.size(); i += 11) {
-    EXPECT_TRUE(zm.PointQuery(data[i]).has_value());
+    EXPECT_TRUE(zm.PointQuery(data[i], ctx).has_value());
   }
 }
 
 TEST(ZmTest, EmptyAndTiny) {
+  QueryContext ctx;
   ZmIndex empty({}, TestConfig());
-  EXPECT_FALSE(empty.PointQuery(Point{0.5, 0.5}).has_value());
-  EXPECT_TRUE(empty.WindowQuery(Rect::UnitSquare()).empty());
-  EXPECT_TRUE(empty.KnnQuery(Point{0.5, 0.5}, 3).empty());
+  EXPECT_FALSE(empty.PointQuery(Point{0.5, 0.5}, ctx).has_value());
+  EXPECT_TRUE(empty.WindowQuery(Rect::UnitSquare(), ctx).empty());
+  EXPECT_TRUE(empty.KnnQuery(Point{0.5, 0.5}, 3, ctx).empty());
 
   const auto tiny = GenerateUniform(5, 19);
   ZmIndex zm(tiny, TestConfig());
   for (const auto& p : tiny) {
-    EXPECT_TRUE(zm.PointQuery(p).has_value());
+    EXPECT_TRUE(zm.PointQuery(p, ctx).has_value());
   }
-  EXPECT_EQ(zm.KnnQuery(Point{0.5, 0.5}, 10).size(), 5u);
+  EXPECT_EQ(zm.KnnQuery(Point{0.5, 0.5}, 10, ctx).size(), 5u);
 }
 
 }  // namespace

@@ -615,7 +615,8 @@ int CmdPoint(const Flags& flags) {
   std::unique_ptr<SpatialIndex> index = LoadOrBuildQueryIndex(flags);
   if (index == nullptr) return Usage();
   const Point q{flags.GetDouble("x", 0), flags.GetDouble("y", 0)};
-  const auto hit = index->PointQuery(q);
+  QueryContext ctx;
+  const auto hit = index->PointQuery(q, ctx);
   if (!hit.has_value()) {
     std::printf("not found\n");
     return 0;
@@ -689,9 +690,10 @@ int CmdKnn(const Flags& flags) {
   }
   const Point q{flags.GetDouble("x", 0), flags.GetDouble("y", 0)};
   const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
+  QueryContext ctx;
   WallTimer t;
-  const auto result =
-      flags.Has("exact") ? rsmi->KnnQueryExact(q, k) : index->KnnQuery(q, k);
+  const auto result = flags.Has("exact") ? rsmi->KnnQueryExact(q, k, ctx)
+                                         : index->KnnQuery(q, k, ctx);
   const double us = t.ElapsedMicros();
   for (const Point& p : result) {
     std::printf("%.17g,%.17g dist=%.6g\n", p.x, p.y, Dist(q, p));
@@ -795,10 +797,11 @@ int CmdBench(const Flags& flags) {
   const double p_us = pt.ElapsedMicros() / nq;
   const double p_blocks = static_cast<double>(pctx.block_accesses) / nq;
 
+  QueryContext wctx;
   WallTimer wt;
   double recall_sum = 0.0;
   for (const auto& w : windows) {
-    const auto got = index.WindowQuery(w);
+    const auto got = index.WindowQuery(w, wctx);
     const auto want = BruteForceWindow(pts, w);
     recall_sum += want.empty() ? 1.0
                                : std::min(1.0, static_cast<double>(got.size()) /
@@ -806,8 +809,9 @@ int CmdBench(const Flags& flags) {
   }
   const double w_ms = wt.ElapsedMicros() / 1000.0 / nq;
 
+  QueryContext kctx;
   WallTimer kt;
-  for (const auto& q : points) index.KnnQuery(q, k);
+  for (const auto& q : points) index.KnnQuery(q, k, kctx);
   const double k_ms = kt.ElapsedMicros() / 1000.0 / nq;
 
   std::printf("n=%zu build_s=%.2f\n", pts.size(), build_s);
