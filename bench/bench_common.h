@@ -12,7 +12,6 @@
 #include "common/timer.h"
 #include "core/rsmi_index.h"
 #include "data/generators.h"
-#include "data/ground_truth.h"
 #include "data/workloads.h"
 
 namespace rsmi {
@@ -67,8 +66,8 @@ inline const Scale& GetScale() {
 /// Paper-default build parameters (B=100, N=10000, Section 6.1). RSMI
 /// builds use RSMI_BENCH_BUILD_THREADS workers (default 8) — the result
 /// is bit-identical to a sequential build (parallel_build_test), only
-/// faster; bench_ablation_build_threads records the thread scaling curve
-/// including the sequential build time.
+/// faster; bench_paper's AblationBuildThreads cells record the thread
+/// scaling curve including the sequential build time.
 inline IndexBuildConfig BuildConfig() {
   IndexBuildConfig cfg;
   cfg.block_capacity = 100;
@@ -76,12 +75,6 @@ inline IndexBuildConfig BuildConfig() {
   cfg.build_threads =
       static_cast<int>(GetEnvInt64("RSMI_BENCH_BUILD_THREADS", 8));
   return cfg;
-}
-
-/// The five distributions in paper order (Tiger/OSM are the synthetic
-/// stand-ins, DESIGN.md substitution #1).
-inline const std::vector<Distribution>& BenchDistributions() {
-  return AllDistributions();
 }
 
 /// Default sweep values (Table 2, defaults in bold): window size 0.01% of
@@ -125,15 +118,9 @@ class Context {
         auto shared_key = std::make_pair(d, n);
         auto sit = rsmi_shared_.find(shared_key);
         if (sit == rsmi_shared_.end()) {
-          RsmiConfig rc;
-          const IndexBuildConfig bc = BuildConfig();
-          rc.block_capacity = bc.block_capacity;
-          rc.partition_threshold = bc.partition_threshold;
-          rc.train = bc.train;
-          rc.internal_sample_cap = bc.internal_sample_cap;
-          rc.build_threads = bc.build_threads;
           WallTimer t;
-          auto impl = std::make_shared<RsmiIndex>(data, rc);
+          auto impl =
+              std::make_shared<RsmiIndex>(data, RsmiConfigFor(BuildConfig()));
           sit = rsmi_shared_
                     .emplace(shared_key,
                              SharedRsmi{impl, t.ElapsedSeconds()})
@@ -153,12 +140,6 @@ class Context {
     return it->second.index.get();
   }
 
-  /// The shared RsmiIndex behind Index(kRsmi/kRsmia, d, n).
-  RsmiIndex* Rsmi(Distribution d, size_t n) {
-    Index(IndexKind::kRsmi, d, n);
-    return rsmi_shared_.at(std::make_pair(d, n)).impl.get();
-  }
-
  private:
   struct Entry {
     std::unique_ptr<SpatialIndex> index;
@@ -173,86 +154,6 @@ class Context {
   std::map<std::tuple<IndexKind, Distribution, size_t>, Entry> indices_;
   std::map<std::pair<Distribution, size_t>, SharedRsmi> rsmi_shared_;
 };
-
-/// Per-workload metrics, paper units: µs for point queries, ms for window
-/// and kNN queries, block accesses and recall per query.
-struct QueryMetrics {
-  double time_us_per_query = 0.0;
-  double blocks_per_query = 0.0;
-  double recall = 1.0;
-  double results_per_query = 0.0;
-};
-
-inline QueryMetrics RunPointQueries(SpatialIndex* index,
-                                    const std::vector<Point>& queries) {
-  QueryMetrics m;
-  QueryContext ctx;
-  size_t found = 0;
-  WallTimer t;
-  for (const auto& q : queries) {
-    if (index->PointQuery(q, ctx).has_value()) ++found;
-  }
-  m.time_us_per_query = t.ElapsedMicros() / queries.size();
-  m.blocks_per_query =
-      static_cast<double>(ctx.block_accesses) / queries.size();
-  m.recall = static_cast<double>(found) / queries.size();
-  return m;
-}
-
-inline QueryMetrics RunWindowQueries(SpatialIndex* index,
-                                     const std::vector<Rect>& windows,
-                                     const std::vector<Point>* truth_data) {
-  QueryMetrics m;
-  QueryContext ctx;
-  std::vector<size_t> result_sizes(windows.size());
-  WallTimer t;
-  for (size_t i = 0; i < windows.size(); ++i) {
-    result_sizes[i] = index->WindowQuery(windows[i], ctx).size();
-  }
-  m.time_us_per_query = t.ElapsedMicros() / windows.size();
-  m.blocks_per_query =
-      static_cast<double>(ctx.block_accesses) / windows.size();
-  if (truth_data != nullptr) {
-    // Learned-index answers have no false positives, so recall reduces to
-    // |result| / |truth| (Section 6.2.3); exact indices score 1.
-    double recall_sum = 0.0;
-    for (size_t i = 0; i < windows.size(); ++i) {
-      const size_t truth = BruteForceWindow(*truth_data, windows[i]).size();
-      recall_sum += truth == 0
-                        ? 1.0
-                        : std::min(1.0, static_cast<double>(result_sizes[i]) /
-                                            truth);
-      m.results_per_query += result_sizes[i];
-    }
-    m.recall = recall_sum / windows.size();
-    m.results_per_query /= windows.size();
-  }
-  return m;
-}
-
-inline QueryMetrics RunKnnQueries(SpatialIndex* index,
-                                  const std::vector<Point>& queries, size_t k,
-                                  const std::vector<Point>* truth_data) {
-  QueryMetrics m;
-  QueryContext ctx;
-  std::vector<std::vector<Point>> results(queries.size());
-  WallTimer t;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results[i] = index->KnnQuery(queries[i], k, ctx);
-  }
-  m.time_us_per_query = t.ElapsedMicros() / queries.size();
-  m.blocks_per_query =
-      static_cast<double>(ctx.block_accesses) / queries.size();
-  if (truth_data != nullptr) {
-    double recall_sum = 0.0;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const auto truth = BruteForceKnn(*truth_data, queries[i], k);
-      recall_sum += RecallOf(results[i], truth);
-    }
-    m.recall = recall_sum / queries.size();
-  }
-  return m;
-}
 
 /// Benchmark-name helper: "Fig06/PointQuery/Skewed/RSMI".
 inline std::string BenchName(const std::string& fig, const std::string& what,

@@ -3,8 +3,7 @@
 // workload. Expected shape: near-linear throughput scaling up to the
 // physical core count for every index, because the QueryContext read path
 // shares no mutable state (this bench is the evidence for the >= 4x at 8
-// threads acceptance bar; tools/run_benches.sh --pr2-json snapshots it
-// into BENCH_PR2.json).
+// threads acceptance bar).
 #include <benchmark/benchmark.h>
 
 #include <map>

@@ -43,6 +43,17 @@ bool HasApproximateQueries(IndexKind kind) {
   return kind == IndexKind::kRsmi || kind == IndexKind::kZm;
 }
 
+RsmiConfig RsmiConfigFor(const IndexBuildConfig& cfg) {
+  RsmiConfig c;
+  c.block_capacity = cfg.block_capacity;
+  c.partition_threshold = cfg.partition_threshold;
+  c.train = cfg.train;
+  c.internal_sample_cap = cfg.internal_sample_cap;
+  c.build_threads = cfg.build_threads;
+  c.seed = cfg.seed;
+  return c;
+}
+
 std::unique_ptr<SpatialIndex> MakeIndex(IndexKind kind,
                                         const std::vector<Point>& pts,
                                         const IndexBuildConfig& cfg) {
@@ -71,14 +82,7 @@ std::unique_ptr<SpatialIndex> MakeIndex(IndexKind kind,
     }
     case IndexKind::kRsmi:
     case IndexKind::kRsmia: {
-      RsmiConfig c;
-      c.block_capacity = cfg.block_capacity;
-      c.partition_threshold = cfg.partition_threshold;
-      c.train = cfg.train;
-      c.internal_sample_cap = cfg.internal_sample_cap;
-      c.build_threads = cfg.build_threads;
-      c.seed = cfg.seed;
-      auto impl = std::make_shared<RsmiIndex>(pts, c);
+      auto impl = std::make_shared<RsmiIndex>(pts, RsmiConfigFor(cfg));
       return kind == IndexKind::kRsmia ? MakeRsmiaView(std::move(impl))
                                        : MakeRsmiView(std::move(impl));
     }

@@ -49,6 +49,10 @@ struct IndexBuildConfig {
   int query_threads = 1;
 };
 
+/// The RsmiConfig that MakeIndex builds RSMI and RSMIa with: the shared
+/// parameters of `cfg`, RSMI-only knobs at their RsmiConfig defaults.
+RsmiConfig RsmiConfigFor(const IndexBuildConfig& cfg);
+
 /// Builds an index of the requested kind over `pts`. For kRsmia this
 /// builds a fresh RSMI and wraps it; when benchmarking RSMI and RSMIa
 /// together, build one RsmiIndex and use MakeRsmiaView to share it.

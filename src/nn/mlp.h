@@ -83,7 +83,7 @@ class Mlp {
   /// cannot escape within a practical epoch budget. A large init range
   /// spreads the sigmoid transition ridges across the input square up
   /// front and roughly halves the leaf prediction error (see the
-  /// bench_ablation_training ablation).
+  /// AblationTraining cells of bench_paper).
   Mlp(int input_dim, int hidden_dim, uint64_t seed = 42,
       double init_scale = 0.0);
   ~Mlp();

@@ -135,8 +135,8 @@ TEST(MlpPropertyTest, FitsMonotoneCdfWellEnoughForBlockPrediction) {
 }
 
 TEST(MlpPropertyTest, WideInitOutperformsXavierOnCurveTarget) {
-  // The empirical basis of RsmiConfig::model_init_scale (and the
-  // bench_ablation_training experiment): on rank-space curve targets, a
+  // The empirical basis of RsmiConfig::model_init_scale (and bench_paper's
+  // AblationTraining cells): on rank-space curve targets, a
   // sigmoid layer initialized near-linear (Xavier) underfits badly.
   std::vector<double> x;
   std::vector<double> y;

@@ -1,567 +1,409 @@
 #!/usr/bin/env python3
 """CI perf-regression gate over the pinned micro-benches.
 
-Consumes the two JSON files written by `tools/run_benches.sh
---regression-out DIR` (bench_inference + bench_fig08_point_scale at the
-pinned smoke configuration) and compares them against the committed
-snapshot `bench/BENCH_BASELINE.json`.
+Reads one directory: what `tools/run_benches.sh --regression-out DIR`
+writes (Google Benchmark JSON, one file per bench), plus
+`serve/loadgen.json` from the serve smoke
+(`tools/serve_smoke.sh build/tools/rsmi_cli DIR/serve`). Every metric
+is one row of METRICS or RATIOS: the key it is recorded under, the file
+and cell-name prefix it is read from, the counter, and whether the best
+repetition is the min or the max. All of them go into --metrics-out;
+four gates then compare some of them against the committed snapshot
+`bench/BENCH_BASELINE.json`:
 
-Machines differ, so absolute latencies are never compared across runs.
-Instead every run carries its own calibration: the scalar ns/op of the
-RSMI-leaf MLP forward pass (`Inference/Scalar/RsmiLeaf_in2_h51`), which
-exercises the same arithmetic the point-query descent spends its time
-in. The gated metric is
+- Normalized point cost. Machines differ, so absolute latencies are
+  never compared across runs. Every run carries its own calibration:
+  the scalar ns/op of the RSMI-leaf MLP forward pass
+  (`Inference/Scalar/RsmiLeaf_in2_h51`), the arithmetic the point-query
+  descent spends its time in. The gated metric is
 
-    normalized = point-query us/query / scalar ns/op
+      normalized = point-query us/query * 1000 / scalar ns/op
 
-which is stable across machine speeds but rises when the query path
-itself regresses. The gate fails when `normalized` exceeds the baseline
-by more than --threshold (default 0.25, the ">25% point-query latency
-regression" contract). A second gate requires the batched kernel to
-keep a healthy speedup over looped scalar inference whenever the AVX2
-kernel is active (CI floor 1.5x to absorb shared-runner noise; the
-committed baseline records the >=2x acceptance measurement).
+  which is stable across machine speeds but rises when the query path
+  itself regresses. It may exceed the baseline by at most 25%.
+- Batched inference must keep a 1.5x speedup over looped scalar
+  inference whenever the AVX2 kernel is active (the committed baseline
+  records the >=2x acceptance measurement; 1.5x absorbs shared-runner
+  noise).
+- The Inference/Spec cells time the shape-specialized kernels against
+  the generic AVX2 kernel interleaved in one process (immune to
+  cross-run drift). The headroom is hardware-dependent —
+  divider-throughput-bound cores with per-double-equal ymm/zmm divide
+  and one 512-bit FMA port cap it at ~1.05-1.13x, while dual-FMA-port
+  parts clear 1.3x — so the floor adapts to the committed baseline
+  host: 1.3x when the baseline records >=1.3x, otherwise no more than
+  15% below the baseline's best ratio. Skipped when the specialized
+  kernels are inactive (forced generic/scalar, or a non-SIMD host).
+- Obs/PointReplay replays one point workload with the metrics registry
+  disabled and enabled, interleaved in one process; the untraced
+  instrumentation overhead may not exceed 5%.
 
---specialized arms a third gate over the Inference/Spec cells, which
-time the shape-specialized kernels against the generic AVX2 kernel
-interleaved in one process (immune to cross-run machine drift). The
-specialized headroom is hardware-dependent — divider-throughput-bound
-cores with per-double-equal ymm/zmm divide and one 512-bit FMA port cap
-it at ~1.05-1.13x, while dual-FMA-port parts clear 1.3x — so the gate
-adapts to what the committed baseline host demonstrated: a hard 1.3x
-floor when the baseline records >=1.3x, otherwise a no-regression guard
-against the baseline's recorded best ratio (15% tolerance). Skipped
-when the specialized kernels are inactive (forced generic/scalar, or a
-non-SIMD host).
-
---obs arms the observability gate over the bench_observability cells:
-the Obs/PointReplay cell replays the same point workload with the
-metrics registry disabled and enabled, interleaved in one process, so
-its overhead_pct is immune to machine drift. The gate hard-fails when
-the untraced instrumentation overhead exceeds 5% (the perf half of the
-observability contract). The traced-vs-untraced server round-trip
-overhead (Obs/ServerTraced) is recorded alongside but never gated —
-tracing is opt-in per request.
-
-Side inputs (--shard, --persistence, --updates, --serve, --xmem) are
-recorded into the metrics artifact but never gated; --serve takes the
-loadgen
-JSON the serve smoke writes, and all of them work without
---inference/--point (which are only required, together, for the gate
-itself).
+The files the gates read are required. The others are recorded only,
+and skipped when absent: they are too noisy on shared runners for a
+threshold (filesystem-bound save/load, loopback serving, page-cache
+cold faults) or need more runner generations of data first (sharded vs
+monolithic); num_cpus rides along to interpret them (1-vCPU runners
+serialize readers, writers and prefetch workers).
 
 Regenerate the snapshot after intentional perf changes:
 
     tools/run_benches.sh --regression-out /tmp/reg
-    tools/check_bench_regression.py --inference /tmp/reg/bench_inference.json \
-        --point /tmp/reg/bench_point.json --write-baseline bench/BENCH_BASELINE.json
+    tools/check_bench_regression.py --dir /tmp/reg \\
+        --write-baseline bench/BENCH_BASELINE.json
 """
 
 import argparse
 import json
+import os
 import sys
+
+INFERENCE = "bench_inference.json"
+POINT = "bench_point.json"
+OBS = "bench_obs.json"
+SHARD = "bench_shard.json"
+PERSISTENCE = "bench_persistence.json"
+UPDATES = "bench_updates.json"
+XMEM = "bench_xmem.json"
+SERVE = "serve/loadgen.json"
+GATED_FILES = (INFERENCE, POINT, OBS)
 
 CALIBRATION_SCALAR = "Inference/Scalar/RsmiLeaf_in2_h51"
 CALIBRATION_BATCH = "Inference/Batch/RsmiLeaf_in2_h51"
 POINT_PREFIX = "Fig08/PointQueryScale/n2000/"
 POINT_INDICES = ("RSMI", "ZM")
-AVX2_MIN_SPEEDUP = 1.5
 SPEC_PREFIX = "Inference/Spec/"
-# Specialized-vs-generic-AVX2 acceptance floor, armed only when the
-# committed baseline host demonstrates it (see the module docstring).
-SPEC_MIN_SPEEDUP = 1.3
-# Allowed relative drop vs the baseline's recorded best ratio on hosts
-# below the floor (interleaved A/B is tight, but shared runners jitter).
-SPEC_TOLERANCE = 0.15
-# Sharded cells (bench_shard_scale). K1 is the monolithic reference:
-# with one shard the sharded path is bit-identical to the inner index.
-SHARD_POINT_MONO = "Shard/Point/RSMI/K1"
-SHARD_POINT_SHARDED = "Shard/Point/RSMI/K4"
-SHARD_BUILD_MONO = "Shard/Build/RSMI/mono"
-SHARD_BUILD_PARALLEL = "Shard/Build/RSMI/K4/t4"
-
-
-def load_benchmarks(path):
-    with open(path) as f:
-        doc = json.load(f)
-    # Plain iteration entries only (aggregates like _mean/_cv are
-    # reported with run_type == "aggregate").
-    return doc.get("context", {}), [
-        b for b in doc.get("benchmarks", []) if b.get("run_type") == "iteration"
-    ]
-
-
-def min_counter(benchmarks, name_prefix, counter):
-    values = [
-        float(b[counter])
-        for b in benchmarks
-        if b["name"].startswith(name_prefix) and counter in b
-    ]
-    if not values:
-        raise SystemExit(
-            f"error: no benchmark entries matching {name_prefix!r} with "
-            f"counter {counter!r} — wrong input file or filter?"
-        )
-    return min(values)
-
-
-def collect_shard_metrics(shard_path):
-    """Sharded-vs-monolithic ratios from bench_shard.json.
-
-    Recorded in the uploaded artifact for trend-watching; deliberately
-    NOT gated yet (the fan-out layer is new — gate once a few runner
-    generations of data exist). sharded_point_ratio > 1 means a routed
-    point query through K=4 shards costs more than the monolithic
-    lookup; parallel_build_speedup < 1 on 1-vCPU runners is expected
-    (see num_cpus).
-    """
-    ctx, shard = load_benchmarks(shard_path)
-    mono_us = min_counter(shard, SHARD_POINT_MONO, "us_per_query")
-    sharded_us = min_counter(shard, SHARD_POINT_SHARDED, "us_per_query")
-    mono_build = min_counter(shard, SHARD_BUILD_MONO, "build_seconds")
-    par_build = min_counter(shard, SHARD_BUILD_PARALLEL, "build_seconds")
-    return {
-        "point_us_mono": mono_us,
-        "point_us_sharded_k4": sharded_us,
-        "sharded_point_ratio": sharded_us / mono_us if mono_us > 0 else 0.0,
-        "parallel_build_speedup":
-            mono_build / par_build if par_build > 0 else 0.0,
-        "num_cpus": ctx.get("num_cpus"),
-    }
-
-
-PERSIST_CELLS = (
-    ("save_mb_per_s_rsmi", "Persist/Save/RSMI"),
-    ("load_mb_per_s_rsmi", "Persist/Load/RSMI"),
-    ("save_mb_per_s_sharded4_rsmi", "Persist/Save/Sharded4RSMI"),
-    ("load_mb_per_s_sharded4_rsmi", "Persist/Load/Sharded4RSMI"),
-)
-
-
-def max_counter(benchmarks, name_prefix, counter):
-    values = [
-        float(b[counter])
-        for b in benchmarks
-        if b["name"].startswith(name_prefix) and counter in b
-    ]
-    if not values:
-        raise SystemExit(
-            f"error: no benchmark entries matching {name_prefix!r} with "
-            f"counter {counter!r} — wrong input file or filter?"
-        )
-    return max(values)
-
-
-def collect_persistence_metrics(persistence_path):
-    """SaveIndex/LoadIndex MB/s from bench_persistence.json.
-
-    Recorded in the uploaded artifact for trend-watching; deliberately
-    NOT gated — save/load is a cold-start path and its MB/s on shared
-    runners is dominated by the filesystem, so a threshold would only
-    flake. Best (max) repetition per cell, like a steady-state disk.
-    """
-    _, persist = load_benchmarks(persistence_path)
-    out = {}
-    for key, prefix in PERSIST_CELLS:
-        out[key] = max_counter(persist, prefix, "mb_per_s")
-    out["file_mb_sharded4_rsmi"] = max_counter(
-        persist, "Persist/Save/Sharded4RSMI", "file_mb")
-    return out
-
-
-UPDATES_BASELINE = "MixedUpdates/Buffered/w00/t1"
-UPDATES_BUFFERED = "MixedUpdates/Buffered/w10/t1"
-UPDATES_EXCLUSIVE = "MixedUpdates/Exclusive/w10/t1"
-
-
-def collect_updates_metrics(updates_path):
-    """Mixed read/write cells from bench_updates.json.
-
-    Recorded in the uploaded artifact for trend-watching; deliberately
-    NOT gated — the delta-buffered vs exclusive-writer comparison only
-    means something with real reader/writer contention, and 1-vCPU
-    runners serialize everything anyway (see num_cpus). read_p99_ratio
-    < 1 means buffered writes kept read tail latency below the
-    exclusive-writer path at the same 10% write mix.
-    """
-    ctx, updates = load_benchmarks(updates_path)
-    read_only = min_counter(updates, UPDATES_BASELINE, "p99_read_us")
-    buffered = min_counter(updates, UPDATES_BUFFERED, "p99_read_us")
-    exclusive = min_counter(updates, UPDATES_EXCLUSIVE, "p99_read_us")
-    return {
-        "read_p99_us_read_only": read_only,
-        "read_p99_us_buffered_w10": buffered,
-        "read_p99_us_exclusive_w10": exclusive,
-        "read_p99_ratio": buffered / exclusive if exclusive > 0 else 0.0,
-        "throughput_qps_buffered_w10": min_counter(
-            updates, UPDATES_BUFFERED, "throughput_qps"),
-        "throughput_qps_exclusive_w10": min_counter(
-            updates, UPDATES_EXCLUSIVE, "throughput_qps"),
-        "num_cpus": ctx.get("num_cpus"),
-    }
-
-
 OBS_REPLAY = "Obs/PointReplay"
 OBS_SERVER = "Obs/ServerTraced"
-# Allowed untraced instrumentation overhead on the point-replay path.
+XMEM_POINT_ON = "BeyondRam/ColdPoint/PrefetchOn"
+# Cells a host may not produce: the traced server cells are skipped when
+# the loopback server cannot run.
+OPTIONAL_PREFIXES = (OBS_SERVER,)
+
+POINT_THRESHOLD = 0.25
+AVX2_MIN_SPEEDUP = 1.5
+SPEC_MIN_SPEEDUP = 1.3
+SPEC_TOLERANCE = 0.15
 OBS_MAX_OVERHEAD_PCT = 5.0
 
+# (output key, file, cell-name prefix, counter, best of the repetitions).
+# "flag" is true when every repetition reports the counter as set.
+METRICS = [
+    ("scalar_ns_per_op", INFERENCE, CALIBRATION_SCALAR, "ns_per_op", "min"),
+    ("batch_ns_per_op", INFERENCE, CALIBRATION_BATCH, "ns_per_op", "min"),
+    ("avx2", INFERENCE, CALIBRATION_BATCH, "avx2", "flag"),
+] + [
+    (f"point_us_per_query.{idx}", POINT, POINT_PREFIX + idx, "us_per_query",
+     "min")
+    for idx in POINT_INDICES
+] + [
+    # bench_shard_scale; K1 is the monolithic reference (with one shard
+    # the sharded path is bit-identical to the inner index).
+    ("sharded.point_us_mono", SHARD, "Shard/Point/RSMI/K1", "us_per_query",
+     "min"),
+    ("sharded.point_us_sharded_k4", SHARD, "Shard/Point/RSMI/K4",
+     "us_per_query", "min"),
+    # SaveIndex/LoadIndex through the index-container format; best
+    # repetition, like a steady-state disk.
+    ("persistence.save_mb_per_s_rsmi", PERSISTENCE, "Persist/Save/RSMI",
+     "mb_per_s", "max"),
+    ("persistence.load_mb_per_s_rsmi", PERSISTENCE, "Persist/Load/RSMI",
+     "mb_per_s", "max"),
+    ("persistence.save_mb_per_s_sharded4_rsmi", PERSISTENCE,
+     "Persist/Save/Sharded4RSMI", "mb_per_s", "max"),
+    ("persistence.load_mb_per_s_sharded4_rsmi", PERSISTENCE,
+     "Persist/Load/Sharded4RSMI", "mb_per_s", "max"),
+    ("persistence.file_mb_sharded4_rsmi", PERSISTENCE,
+     "Persist/Save/Sharded4RSMI", "file_mb", "max"),
+    # Mixed read/write: delta-buffered vs exclusive-writer read p99 at a
+    # 10% write mix, against the read-only baseline.
+    ("updates.read_p99_us_read_only", UPDATES, "MixedUpdates/Buffered/w00/t1",
+     "p99_read_us", "min"),
+    ("updates.read_p99_us_buffered_w10", UPDATES,
+     "MixedUpdates/Buffered/w10/t1", "p99_read_us", "min"),
+    ("updates.read_p99_us_exclusive_w10", UPDATES,
+     "MixedUpdates/Exclusive/w10/t1", "p99_read_us", "min"),
+    ("updates.throughput_qps_buffered_w10", UPDATES,
+     "MixedUpdates/Buffered/w10/t1", "throughput_qps", "min"),
+    ("updates.throughput_qps_exclusive_w10", UPDATES,
+     "MixedUpdates/Exclusive/w10/t1", "throughput_qps", "min"),
+    # Beyond-RAM cold queries through the mmap backend; the bench itself
+    # fails on any mmap-vs-eager parity violation.
+    ("xmem.cold_point_ms_prefetch_on", XMEM, XMEM_POINT_ON, "real_time",
+     "min"),
+    ("xmem.cold_point_ms_prefetch_off", XMEM,
+     "BeyondRam/ColdPoint/PrefetchOff", "real_time", "min"),
+    ("xmem.cold_window_ms_prefetch_on", XMEM,
+     "BeyondRam/ColdWindow/PrefetchOn", "real_time", "min"),
+    ("xmem.cold_window_ms_prefetch_off", XMEM,
+     "BeyondRam/ColdWindow/PrefetchOff", "real_time", "min"),
+    ("xmem.file_mb", XMEM, XMEM_POINT_ON, "file_mb", "max"),
+    ("xmem.budget_mb", XMEM, XMEM_POINT_ON, "budget_mb", "max"),
+    ("xmem.faults", XMEM, XMEM_POINT_ON, "faults", "max"),
+    ("xmem.prefetch_hits", XMEM, XMEM_POINT_ON, "prefetch_hits", "max"),
+    # Registry disabled vs enabled; the min over repetitions is the
+    # honest overhead (everything above it is scheduler noise). Tracing
+    # is opt-in per request, so its server round trip is recorded only.
+    ("observability.untraced_overhead_pct", OBS, OBS_REPLAY, "overhead_pct",
+     "min"),
+    ("observability.us_per_query_disabled", OBS, OBS_REPLAY,
+     "us_per_query_disabled", "min"),
+    ("observability.us_per_query_enabled", OBS, OBS_REPLAY,
+     "us_per_query_enabled", "min"),
+    ("observability.traced_overhead_pct", OBS, OBS_SERVER,
+     "traced_overhead_pct", "min"),
+    ("observability.us_per_query_untraced", OBS, OBS_SERVER,
+     "us_per_query_untraced", "min"),
+    ("observability.us_per_query_traced", OBS, OBS_SERVER,
+     "us_per_query_traced", "min"),
+]
 
-def collect_obs_metrics(obs_path):
-    """Instrumentation overhead cells from bench_obs.json.
+# (output key, file, numerator prefix, denominator prefix, counter,
+# best): the ratio of the two cells' best values, 0 if the denominator
+# is 0.
+RATIOS = [
+    ("batch_speedup", INFERENCE, CALIBRATION_SCALAR, CALIBRATION_BATCH,
+     "ns_per_op", "min"),
+    # > 1: a point query routed through K=4 shards costs more than the
+    # monolithic lookup.
+    ("sharded.sharded_point_ratio", SHARD, "Shard/Point/RSMI/K4",
+     "Shard/Point/RSMI/K1", "us_per_query", "min"),
+    ("sharded.parallel_build_speedup", SHARD, "Shard/Build/RSMI/mono",
+     "Shard/Build/RSMI/K4/t4", "build_seconds", "min"),
+    # < 1: buffered writes kept read tail latency below the
+    # exclusive-writer path.
+    ("updates.read_p99_ratio", UPDATES, "MixedUpdates/Buffered/w10/t1",
+     "MixedUpdates/Exclusive/w10/t1", "p99_read_us", "min"),
+    # > 1: model-predicted prefetch beat demand faulting alone (needs real
+    # parallelism and a data set that misses the page cache).
+    ("xmem.prefetch_speedup", XMEM, "BeyondRam/ColdPoint/PrefetchOff",
+     XMEM_POINT_ON, "real_time", "min"),
+]
 
-    overhead_pct compares registry-disabled vs registry-enabled replays
-    interleaved in one process; min across repetitions is the honest
-    overhead (everything above it is scheduler noise). The traced server
-    cells ride along for trend-watching and are never gated.
-    """
-    _, obs = load_benchmarks(obs_path)
-    out = {
-        "untraced_overhead_pct": min_counter(obs, OBS_REPLAY, "overhead_pct"),
-        "us_per_query_disabled": min_counter(
-            obs, OBS_REPLAY, "us_per_query_disabled"),
-        "us_per_query_enabled": min_counter(
-            obs, OBS_REPLAY, "us_per_query_enabled"),
-    }
-    # The server cells are skipped (not failed) on hosts where the
-    # loopback server can't run; tolerate their absence.
-    try:
-        out["traced_overhead_pct"] = min_counter(
-            obs, OBS_SERVER, "traced_overhead_pct")
-        out["us_per_query_untraced"] = min_counter(
-            obs, OBS_SERVER, "us_per_query_untraced")
-        out["us_per_query_traced"] = min_counter(
-            obs, OBS_SERVER, "us_per_query_traced")
-    except SystemExit:
-        pass
-    return out
+# (output key, file, Google Benchmark context field).
+CONTEXT = [
+    ("host.num_cpus", INFERENCE, "num_cpus"),
+    ("host.mhz_per_cpu", INFERENCE, "mhz_per_cpu"),
+    ("host.date", INFERENCE, "date"),
+    ("sharded.num_cpus", SHARD, "num_cpus"),
+    ("updates.num_cpus", UPDATES, "num_cpus"),
+    ("xmem.num_cpus", XMEM, "num_cpus"),
+]
 
-
-XMEM_POINT_ON = "BeyondRam/ColdPoint/PrefetchOn"
-XMEM_POINT_OFF = "BeyondRam/ColdPoint/PrefetchOff"
-XMEM_WINDOW_ON = "BeyondRam/ColdWindow/PrefetchOn"
-XMEM_WINDOW_OFF = "BeyondRam/ColdWindow/PrefetchOff"
-
-
-def min_real_time(benchmarks, name_prefix):
-    values = [
-        float(b["real_time"])
-        for b in benchmarks
-        if b["name"].startswith(name_prefix) and "real_time" in b
-    ]
-    if not values:
-        raise SystemExit(
-            f"error: no benchmark entries matching {name_prefix!r} — "
-            f"wrong input file or filter?"
-        )
-    return min(values)
+SERVE_KEYS = ("achieved_qps", "received", "p50_us", "p99_us", "p999_us")
+BASELINE_KEYS = ("scalar_ns_per_op", "batch_ns_per_op", "batch_speedup",
+                 "avx2", "point_us_per_query", "normalized_point_cost",
+                 "specialized_kernels", "host")
 
 
-def collect_xmem_metrics(xmem_path):
-    """Beyond-RAM cold-query cells from bench_xmem.json.
+class Inputs:
+    """The JSON files of one regression directory, loaded once each."""
 
-    Recorded in the uploaded artifact for trend-watching; deliberately
-    NOT gated — cold-fault latency on shared runners is dominated by the
-    page cache and the filesystem, so a threshold would only flake. The
-    bench itself hard-fails (SkipWithError) on any mmap-vs-eager parity
-    violation, which is the gated part of the acceptance. The
-    prefetch_speedup ratio > 1 means model-predicted prefetch made cold
-    batched point queries faster than demand faulting alone — but only
-    with real parallelism and a dataset that misses the page cache:
-    on 1-vCPU runners the prefetch workers just steal the query
-    thread's cycles, and at smoke scale the whole file is page-cache
-    hot, so the ratio can sit below 1 there (num_cpus rides along for
-    exactly that interpretation).
-    """
-    ctx, xmem = load_benchmarks(xmem_path)
-    on = min_real_time(xmem, XMEM_POINT_ON)
-    off = min_real_time(xmem, XMEM_POINT_OFF)
-    out = {
-        "cold_point_ms_prefetch_on": on,
-        "cold_point_ms_prefetch_off": off,
-        "prefetch_speedup": off / on if on > 0 else 0.0,
-        "cold_window_ms_prefetch_on": min_real_time(xmem, XMEM_WINDOW_ON),
-        "cold_window_ms_prefetch_off": min_real_time(xmem, XMEM_WINDOW_OFF),
-        "file_mb": max_counter(xmem, XMEM_POINT_ON, "file_mb"),
-        "budget_mb": max_counter(xmem, XMEM_POINT_ON, "budget_mb"),
-        "faults": max_counter(xmem, XMEM_POINT_ON, "faults"),
-        "prefetch_hits": max_counter(xmem, XMEM_POINT_ON, "prefetch_hits"),
-        "num_cpus": ctx.get("num_cpus"),
-    }
-    return out
+    def __init__(self, directory):
+        self.dir = directory
+        self.docs = {}
 
+    def present(self, name):
+        return os.path.exists(os.path.join(self.dir, name))
 
-def collect_serving_metrics(serve_path):
-    """Loadgen report from the serve smoke (rsmi_cli loadgen --out).
+    def doc(self, name):
+        if name not in self.docs:
+            path = os.path.join(self.dir, name)
+            if not os.path.exists(path):
+                raise SystemExit(f"error: {path} is missing — the gates "
+                                 f"need it (run_benches.sh --regression-out)")
+            with open(path) as f:
+                self.docs[name] = json.load(f)
+        return self.docs[name]
 
-    Recorded in the uploaded artifact for trend-watching; deliberately
-    NOT gated — end-to-end serving latency on shared runners folds in
-    scheduler and loopback-stack noise that a threshold would only turn
-    into flakes. The report is already the artifact shape; it is copied
-    through verbatim.
-    """
-    with open(serve_path) as f:
-        report = json.load(f)
-    for key in ("achieved_qps", "received", "p50_us", "p99_us", "p999_us"):
-        if key not in report:
+    def entries(self, name, prefix):
+        # Plain iteration entries only (aggregates like _mean/_cv are
+        # reported with run_type == "aggregate").
+        return [
+            b for b in self.doc(name).get("benchmarks", [])
+            if b.get("run_type") == "iteration"
+            and b["name"].startswith(prefix)
+        ]
+
+    def values(self, name, prefix, counter):
+        return [float(b[counter]) for b in self.entries(name, prefix)
+                if counter in b]
+
+    def best(self, name, prefix, counter, how):
+        values = self.values(name, prefix, counter)
+        if not values:
+            if prefix in OPTIONAL_PREFIXES:
+                return None
             raise SystemExit(
-                f"error: serve report {serve_path!r} is missing {key!r} — "
-                f"not a loadgen JSON?"
-            )
-    return report
+                f"error: no benchmark entries matching {prefix!r} with "
+                f"counter {counter!r} in {name} — wrong input file or "
+                f"filter?")
+        if how == "max":
+            return max(values)
+        if how == "flag":
+            return min(values) > 0.5
+        return min(values)
 
 
-def collect_metrics(inference_path, point_path):
-    ctx, inference = load_benchmarks(inference_path)
-    _, point = load_benchmarks(point_path)
-    scalar_ns = min_counter(inference, CALIBRATION_SCALAR, "ns_per_op")
-    batch_ns = min_counter(inference, CALIBRATION_BATCH, "ns_per_op")
-    avx2 = min_counter(inference, CALIBRATION_BATCH, "avx2") > 0.5
-    metrics = {
-        "scalar_ns_per_op": scalar_ns,
-        "batch_ns_per_op": batch_ns,
-        "batch_speedup": scalar_ns / batch_ns if batch_ns > 0 else 0.0,
-        "avx2": avx2,
-        "point_us_per_query": {},
-        "normalized_point_cost": {},
+def put(metrics, key, value):
+    *path, leaf = key.split(".")
+    for part in path:
+        metrics = metrics.setdefault(part, {})
+    metrics[leaf] = value
+
+
+def collect(inputs):
+    metrics = {}
+
+    def wanted(name):
+        # A recorded file that is absent is skipped; gated files must exist.
+        return name in GATED_FILES or inputs.present(name)
+
+    for key, name, prefix, counter, how in METRICS:
+        if wanted(name):
+            value = inputs.best(name, prefix, counter, how)
+            if value is not None:
+                put(metrics, key, value)
+    for key, name, num, den, counter, how in RATIOS:
+        if wanted(name):
+            a = inputs.best(name, num, counter, how)
+            b = inputs.best(name, den, counter, how)
+            put(metrics, key, a / b if b > 0 else 0.0)
+    for key, name, field in CONTEXT:
+        if wanted(name):
+            put(metrics, key, inputs.doc(name).get("context", {}).get(field))
+
+    scalar_ns = metrics["scalar_ns_per_op"]
+    metrics["normalized_point_cost"] = {
+        idx: us * 1000.0 / scalar_ns
+        for idx, us in metrics["point_us_per_query"].items()
     }
-    for idx in POINT_INDICES:
-        us = min_counter(point, POINT_PREFIX + idx, "us_per_query")
-        metrics["point_us_per_query"][idx] = us
-        metrics["normalized_point_cost"][idx] = us * 1000.0 / scalar_ns
-    spec_shapes = sorted({
+    shapes = sorted({
         b["name"][len(SPEC_PREFIX):]
-        for b in inference
-        if b["name"].startswith(SPEC_PREFIX)
-        and "speedup_vs_generic_avx2" in b
+        for b in inputs.entries(INFERENCE, SPEC_PREFIX)
+        if "speedup_vs_generic_avx2" in b
     })
-    if spec_shapes:
+    if shapes:
         # Best repetition per shape: the interleaved A/B already cancels
         # machine drift within a repetition; min-of-noise across reps.
         ratios = {
-            shape: max_counter(inference, SPEC_PREFIX + shape,
-                               "speedup_vs_generic_avx2")
-            for shape in spec_shapes
+            shape: inputs.best(INFERENCE, SPEC_PREFIX + shape,
+                               "speedup_vs_generic_avx2", "max")
+            for shape in shapes
         }
         best_shape = max(ratios, key=lambda s: ratios[s])
         metrics["specialized_kernels"] = {
-            "active": min_counter(inference, SPEC_PREFIX, "specialized") > 0.5,
-            "avx512": min_counter(inference, SPEC_PREFIX, "avx512") > 0.5,
+            "active": inputs.best(INFERENCE, SPEC_PREFIX, "specialized",
+                                  "flag"),
+            "avx512": inputs.best(INFERENCE, SPEC_PREFIX, "avx512", "flag"),
             "speedup_vs_generic_avx2": ratios,
             "best_shape": best_shape,
             "best_speedup": ratios[best_shape],
         }
-    metrics["host"] = {
-        "num_cpus": ctx.get("num_cpus"),
-        "mhz_per_cpu": ctx.get("mhz_per_cpu"),
-        "date": ctx.get("date"),
-    }
+    if inputs.present(SERVE):
+        # The loadgen report is already the artifact shape.
+        report = inputs.doc(SERVE)
+        for key in SERVE_KEYS:
+            if key not in report:
+                raise SystemExit(f"error: {SERVE} is missing {key!r} — "
+                                 f"not a loadgen JSON?")
+        metrics["serving"] = report
     return metrics
 
 
+def gate(current, baseline):
+    """Returns the failure messages of the four gates."""
+    failures = []
+    for idx in POINT_INDICES:
+        base = baseline["normalized_point_cost"][idx]
+        cur = current["normalized_point_cost"][idx]
+        limit = base * (1.0 + POINT_THRESHOLD)
+        verdict = "OK" if cur <= limit else "REGRESSION"
+        print(f"{idx}: normalized point cost {cur:.1f} vs baseline "
+              f"{base:.1f} (limit {limit:.1f}) -> {verdict}")
+        if cur > limit:
+            failures.append(f"{idx} point-query cost regressed "
+                            f"{cur / base - 1.0:+.0%} "
+                            f"(> {POINT_THRESHOLD:.0%} allowed)")
+
+    if current["avx2"]:
+        speedup = current["batch_speedup"]
+        print(f"batched-inference speedup (avx2): {speedup:.2f}x "
+              f"(floor {AVX2_MIN_SPEEDUP}x; baseline recorded "
+              f"{baseline.get('batch_speedup', 0.0):.2f}x)")
+        if speedup < AVX2_MIN_SPEEDUP:
+            failures.append(f"batched inference speedup {speedup:.2f}x fell "
+                            f"below the {AVX2_MIN_SPEEDUP}x floor")
+    else:
+        print("avx2 kernel inactive: speedup gate skipped")
+
+    spec = current.get("specialized_kernels")
+    if spec is None or not spec["active"]:
+        print("specialized kernels inactive: specialized gate skipped")
+    else:
+        base_best = float(
+            baseline.get("specialized_kernels", {}).get("best_speedup", 0.0))
+        cur_best = spec["best_speedup"]
+        if base_best >= SPEC_MIN_SPEEDUP:
+            floor = SPEC_MIN_SPEEDUP
+            regime = f"hard {SPEC_MIN_SPEEDUP}x floor"
+        else:
+            floor = base_best * (1.0 - SPEC_TOLERANCE)
+            regime = (f"no-regression vs baseline {base_best:.2f}x "
+                      f"(-{SPEC_TOLERANCE:.0%})")
+        verdict = "OK" if cur_best >= floor else "REGRESSION"
+        print(f"specialized kernel speedup: {cur_best:.2f}x on "
+              f"{spec['best_shape']} vs generic avx2 ({regime}) -> {verdict}")
+        if cur_best < floor:
+            failures.append(f"specialized kernel speedup {cur_best:.2f}x fell "
+                            f"below {floor:.2f}x ({regime})")
+
+    overhead = current["observability"]["untraced_overhead_pct"]
+    verdict = "OK" if overhead <= OBS_MAX_OVERHEAD_PCT else "REGRESSION"
+    print(f"observability: untraced overhead {overhead:+.2f}% (limit "
+          f"{OBS_MAX_OVERHEAD_PCT:.0f}%) -> {verdict}")
+    if overhead > OBS_MAX_OVERHEAD_PCT:
+        failures.append(f"untraced instrumentation overhead {overhead:.2f}% "
+                        f"exceeds the {OBS_MAX_OVERHEAD_PCT:.0f}% ceiling")
+    return failures
+
+
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--inference",
-                    help="bench_inference JSON from --regression-out "
-                         "(required together with --point for the gate)")
-    ap.add_argument("--point",
-                    help="bench_fig08_point_scale JSON from --regression-out "
-                         "(required together with --inference for the gate)")
-    ap.add_argument("--shard",
-                    help="bench_shard_scale JSON from --regression-out; "
-                         "records the sharded-vs-monolithic point-latency "
-                         "ratio and parallel-build speedup (not gated)")
-    ap.add_argument("--persistence",
-                    help="bench_persistence JSON from --regression-out; "
-                         "records SaveIndex/LoadIndex MB/s through the "
-                         "index-container format (not gated)")
-    ap.add_argument("--updates",
-                    help="bench_mixed_updates JSON from --regression-out; "
-                         "records mixed read/write cells — delta-buffered "
-                         "vs exclusive-writer read p99 (not gated)")
-    ap.add_argument("--serve",
-                    help="loadgen JSON from the serve smoke (rsmi_cli "
-                         "loadgen --out); records end-to-end serving QPS "
-                         "and latency percentiles (not gated)")
-    ap.add_argument("--xmem",
-                    help="bench_beyond_ram JSON from --regression-out; "
-                         "records cold-query latency through the mmap "
-                         "backend with prefetch on vs off (not gated — "
-                         "parity is asserted inside the bench itself)")
-    ap.add_argument("--obs",
-                    help="bench_observability JSON from --regression-out; "
-                         "hard-fails when the untraced instrumentation "
-                         f"overhead exceeds {OBS_MAX_OVERHEAD_PCT:.0f}% "
-                         "(traced server overhead recorded, not gated)")
-    ap.add_argument("--specialized", action="store_true",
-                    help="also gate the specialized-vs-generic-AVX2 kernel "
-                         "speedup from the Inference/Spec cells (hard "
-                         f"{SPEC_MIN_SPEEDUP}x floor when the committed "
-                         "baseline demonstrates it, else no-regression vs "
-                         "the baseline's recorded ratio; skipped when the "
-                         "specialized kernels are inactive)")
-    ap.add_argument("--baseline", help="committed BENCH_BASELINE.json to gate against")
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--dir", required=True,
+                    help="the run_benches.sh --regression-out directory")
+    ap.add_argument("--baseline",
+                    help="committed BENCH_BASELINE.json to gate against")
     ap.add_argument("--metrics-out",
-                    help="also write the collected metrics JSON here (CI "
-                         "points this into the uploaded artifact dir)")
+                    help="also write the collected metrics JSON here")
     ap.add_argument("--write-baseline",
-                    help="write the collected metrics as a new baseline and exit")
-    ap.add_argument("--threshold", type=float, default=0.25,
-                    help="allowed relative regression of the normalized "
-                         "point cost (default 0.25)")
+                    help="write the gated metrics as a new baseline and exit")
     args = ap.parse_args()
 
-    if bool(args.inference) != bool(args.point):
-        raise SystemExit(
-            "error: --inference and --point must be given together "
-            "(they form the gated normalized point cost)")
-    gating = bool(args.inference)
-    if not gating and not (args.shard or args.persistence or args.updates or
-                           args.serve or args.obs or args.xmem):
-        raise SystemExit("error: nothing to collect — pass some input")
-    current = collect_metrics(args.inference, args.point) if gating else {}
-    if args.shard:
-        current["sharded"] = collect_shard_metrics(args.shard)
-    if args.persistence:
-        current["persistence"] = collect_persistence_metrics(args.persistence)
-    if args.updates:
-        current["updates"] = collect_updates_metrics(args.updates)
-    if args.serve:
-        current["serving"] = collect_serving_metrics(args.serve)
-    if args.xmem:
-        current["xmem"] = collect_xmem_metrics(args.xmem)
-    if args.obs:
-        current["observability"] = collect_obs_metrics(args.obs)
+    current = collect(Inputs(args.dir))
     print("current metrics:")
     print(json.dumps(current, indent=2))
     if args.metrics_out:
         with open(args.metrics_out, "w") as f:
             json.dump(current, f, indent=2)
             f.write("\n")
-
     if args.write_baseline:
         with open(args.write_baseline, "w") as f:
-            json.dump(current, f, indent=2)
+            json.dump({k: current[k] for k in BASELINE_KEYS if k in current},
+                      f, indent=2)
             f.write("\n")
         print(f"wrote baseline -> {args.write_baseline}")
         return 0
+    if not args.baseline:
+        raise SystemExit("error: pass --baseline (or --write-baseline)")
+    with open(args.baseline) as f:
+        baseline = json.load(f)
 
-    failures = []
-    if gating:
-        if not args.baseline:
-            raise SystemExit("error: pass --baseline (or --write-baseline)")
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-
-        for idx in POINT_INDICES:
-            base = baseline["normalized_point_cost"][idx]
-            cur = current["normalized_point_cost"][idx]
-            limit = base * (1.0 + args.threshold)
-            verdict = "OK" if cur <= limit else "REGRESSION"
-            print(f"{idx}: normalized point cost {cur:.1f} vs baseline "
-                  f"{base:.1f} (limit {limit:.1f}) -> {verdict}")
-            if cur > limit:
-                failures.append(
-                    f"{idx} point-query cost regressed "
-                    f"{cur / base - 1.0:+.0%} "
-                    f"(> {args.threshold:.0%} allowed)")
-
-        if current["avx2"]:
-            speedup = current["batch_speedup"]
-            print(f"batched-inference speedup (avx2): {speedup:.2f}x "
-                  f"(floor {AVX2_MIN_SPEEDUP}x; baseline recorded "
-                  f"{baseline.get('batch_speedup', 0.0):.2f}x)")
-            if speedup < AVX2_MIN_SPEEDUP:
-                failures.append(
-                    f"batched inference speedup {speedup:.2f}x fell below "
-                    f"the {AVX2_MIN_SPEEDUP}x floor")
-        else:
-            print("avx2 kernel inactive on this host: speedup gate skipped")
-
-        if args.specialized:
-            spec = current.get("specialized_kernels")
-            if spec is None or not spec["active"]:
-                print("specialized kernels inactive: specialized gate skipped")
-            else:
-                base_spec = baseline.get("specialized_kernels", {})
-                base_best = float(base_spec.get("best_speedup", 0.0))
-                cur_best = spec["best_speedup"]
-                if base_best >= SPEC_MIN_SPEEDUP:
-                    # The baseline host demonstrates the acceptance floor:
-                    # hold every future run on comparable hardware to it.
-                    floor = SPEC_MIN_SPEEDUP
-                    regime = f"hard {SPEC_MIN_SPEEDUP}x floor"
-                else:
-                    # Divider-wall host (see docstring): the floor is
-                    # physically out of reach, so guard against losing
-                    # the speedup that host did demonstrate.
-                    floor = base_best * (1.0 - SPEC_TOLERANCE)
-                    regime = (f"no-regression vs baseline "
-                              f"{base_best:.2f}x (-{SPEC_TOLERANCE:.0%})")
-                verdict = "OK" if cur_best >= floor else "REGRESSION"
-                print(f"specialized kernel speedup: {cur_best:.2f}x on "
-                      f"{spec['best_shape']} vs generic avx2 "
-                      f"({regime}) -> {verdict}")
-                for shape, ratio in spec["speedup_vs_generic_avx2"].items():
-                    print(f"  {shape}: {ratio:.2f}x")
-                if cur_best < floor:
-                    failures.append(
-                        f"specialized kernel speedup {cur_best:.2f}x fell "
-                        f"below {floor:.2f}x ({regime})")
-
-    if "sharded" in current:
-        sh = current["sharded"]
-        print(f"sharded point ratio (K4 vs mono): "
-              f"{sh['sharded_point_ratio']:.2f}x; parallel build speedup "
-              f"(K4/t4 vs mono): {sh['parallel_build_speedup']:.2f}x on "
-              f"{sh['num_cpus']} cpus (recorded, not gated)")
-
-    if "persistence" in current:
-        pe = current["persistence"]
-        print(f"persistence save/load MB/s: rsmi "
-              f"{pe['save_mb_per_s_rsmi']:.0f}/{pe['load_mb_per_s_rsmi']:.0f}, "
-              f"sharded<4>:rsmi {pe['save_mb_per_s_sharded4_rsmi']:.0f}/"
-              f"{pe['load_mb_per_s_sharded4_rsmi']:.0f} (recorded, not gated)")
-
-    if "updates" in current:
-        up = current["updates"]
-        print(f"mixed updates (10% writes): read p99 buffered "
-              f"{up['read_p99_us_buffered_w10']:.1f} us vs exclusive "
-              f"{up['read_p99_us_exclusive_w10']:.1f} us (ratio "
-              f"{up['read_p99_ratio']:.2f}, read-only baseline "
-              f"{up['read_p99_us_read_only']:.1f} us) on "
-              f"{up['num_cpus']} cpus (recorded, not gated)")
-
-    if "serving" in current:
-        se = current["serving"]
-        print(f"serving: {se['achieved_qps']:.0f} qps achieved of "
-              f"{se.get('target_qps', 0.0):.0f} target, p50/p99/p999 "
-              f"{se['p50_us']:.0f}/{se['p99_us']:.0f}/{se['p999_us']:.0f} us "
-              f"over {se['received']} responses (recorded, not gated)")
-
-    if "observability" in current:
-        ob = current["observability"]
-        overhead = ob["untraced_overhead_pct"]
-        verdict = "OK" if overhead <= OBS_MAX_OVERHEAD_PCT else "REGRESSION"
-        print(f"observability: untraced overhead {overhead:+.2f}% "
-              f"({ob['us_per_query_disabled']:.2f} -> "
-              f"{ob['us_per_query_enabled']:.2f} us/query, limit "
-              f"{OBS_MAX_OVERHEAD_PCT:.0f}%) -> {verdict}")
-        if "traced_overhead_pct" in ob:
-            print(f"  traced server round trip: "
-                  f"{ob['traced_overhead_pct']:+.2f}% "
-                  f"({ob['us_per_query_untraced']:.1f} -> "
-                  f"{ob['us_per_query_traced']:.1f} us/query; recorded, "
-                  f"not gated)")
-        if overhead > OBS_MAX_OVERHEAD_PCT:
-            failures.append(
-                f"untraced instrumentation overhead {overhead:.2f}% "
-                f"exceeds the {OBS_MAX_OVERHEAD_PCT:.0f}% ceiling")
-
+    failures = gate(current, baseline)
     if failures:
         print("\nFAIL:", file=sys.stderr)
-        for f_ in failures:
-            print(f"  - {f_}", file=sys.stderr)
+        for failure in failures:
+            print(f"  - {failure}", file=sys.stderr)
         return 1
     print("\nPASS: no perf regression")
     return 0
