@@ -174,7 +174,6 @@ std::unique_ptr<SpatialIndex> MakeIndexFromSpec(const std::string& spec,
   ShardedIndexConfig scfg;
   scfg.num_shards = k;
   scfg.build_threads = cfg.build_threads;
-  scfg.query_threads = cfg.query_threads;
   scfg.partition.seed = cfg.seed;
   // Shard builds already run in parallel; keep each inner build
   // single-threaded so K shards x N training threads cannot oversubscribe.

@@ -43,10 +43,6 @@ struct IndexBuildConfig {
   /// Worker threads for RSMI leaf training (bit-identical results at any
   /// count; see RsmiConfig::build_threads). Ignored by the other indices.
   int build_threads = 1;
-  /// Worker threads for ShardedIndex intra-query window/kNN fan-out
-  /// (1 = sequential; results identical at any count, see
-  /// ShardedIndexConfig::query_threads). Ignored by unsharded indices.
-  int query_threads = 1;
 };
 
 /// The RsmiConfig that MakeIndex builds RSMI and RSMIa with: the shared

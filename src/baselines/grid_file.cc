@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
 
+#include "core/search_algorithms.h"
 #include "io/serializer.h"
 
 namespace rsmi {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 GridFile::GridFile(const std::vector<Point>& pts, const GridConfig& cfg)
     : cfg_(cfg), store_(cfg.block_capacity) {
@@ -106,16 +100,7 @@ std::vector<Point> GridFile::WindowQuery(const Rect& w,
 std::vector<Point> GridFile::KnnQuery(const Point& q, size_t k,
                                       QueryContext& ctx) const {
   if (k == 0 || live_points_ == 0) return {};
-  struct FirstLess {
-    bool operator()(const std::pair<double, Point>& a,
-                    const std::pair<double, Point>& b) const {
-      return a.first < b.first;
-    }
-  };
-  std::priority_queue<std::pair<double, Point>,
-                      std::vector<std::pair<double, Point>>, FirstLess>
-      heap;
-  auto kth = [&]() { return heap.size() < k ? kInf : heap.top().first; };
+  KnnHeap heap(k);
 
   // Ring expansion around the query cell: ring r holds the cells at
   // Chebyshev distance r. Stop once the nearest possible point of the
@@ -129,45 +114,26 @@ std::vector<Point> GridFile::KnnQuery(const Point& q, size_t k,
       // scanned): (r-1) full cell widths in the closest direction.
       const double min_cell = std::min(span_x_, span_y_) / side_;
       const double ring_min = (r - 1) > 0 ? (r - 1) * min_cell : 0.0;
-      if (ring_min * ring_min > kth()) break;
+      if (ring_min * ring_min > heap.KthDist2()) break;
     }
-    bool any_cell = false;
     for (int cy = qy - r; cy <= qy + r; ++cy) {
       if (cy < 0 || cy >= side_) continue;
       for (int cx = qx - r; cx <= qx + r; ++cx) {
         if (cx < 0 || cx >= side_) continue;
         if (std::max(std::abs(cx - qx), std::abs(cy - qy)) != r) continue;
-        any_cell = true;
-        if (heap.size() >= k &&
-            CellRect(cx, cy).MinDist2(q) >= kth()) {
+        if (heap.Full() && CellRect(cx, cy).MinDist2(q) >= heap.KthDist2()) {
           continue;
         }
         for (int id : cells_[cy * side_ + cx]) {
           const Block& b = store_.Access(id, ctx);
           for (const auto& e : b.entries) {
-            const double d2 = SquaredDist(e.pt, q);
-            if (heap.size() < k) {
-              heap.emplace(d2, e.pt);
-            } else if (d2 < heap.top().first) {
-              heap.pop();
-              heap.emplace(d2, e.pt);
-            }
+            heap.Offer(SquaredDist(e.pt, q), e.pt);
           }
         }
       }
     }
-    if (!any_cell && r > 2 * side_) break;
   }
-  std::vector<std::pair<double, Point>> tmp;
-  while (!heap.empty()) {
-    tmp.push_back(heap.top());
-    heap.pop();
-  }
-  std::vector<Point> out(tmp.size());
-  for (size_t i = 0; i < tmp.size(); ++i) {
-    out[tmp.size() - 1 - i] = tmp[i].second;
-  }
-  return out;
+  return heap.Sorted();
 }
 
 void GridFile::InsertOne(const Point& p) {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
+#include "core/search_algorithms.h"
 #include "rank/rank_space.h"
 
 namespace rsmi {
@@ -134,83 +134,13 @@ std::vector<Point> HrrTree::WindowQuery(const Rect& w,
   const double ry_hi =
       static_cast<double>(btree_y_.RankUpper(w.hi.y, &ctx)) - 0.5;
   const Rect rank_w{{rx_lo, ry_lo}, {rx_hi, ry_hi}};
-
-  std::vector<Point> out;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node->leaf) {
-      const Block& b = store_.Access(node->block, ctx);
-      for (const auto& e : b.entries) {
-        if (w.Contains(e.pt)) out.push_back(e.pt);
-      }
-      continue;
-    }
-    ctx.CountNodePage();
-    for (const auto& child : node->children) {
-      if (child->rank_mbr.Intersects(rank_w)) stack.push_back(child.get());
-    }
-  }
-  return out;
+  return TreeWindowQuery(root_.get(), &Node::rank_mbr, rank_w, w, store_, ctx);
 }
 
 std::vector<Point> HrrTree::KnnQuery(const Point& q, size_t k,
                                      QueryContext& ctx) const {
   if (k == 0 || live_points_ == 0) return {};
-  struct Cand {
-    double d2;
-    const Node* node;
-  };
-  struct CandGreater {
-    bool operator()(const Cand& a, const Cand& b) const { return a.d2 > b.d2; }
-  };
-  std::priority_queue<Cand, std::vector<Cand>, CandGreater> pq;
-  pq.push({0.0, root_.get()});
-
-  struct FirstLess {
-    bool operator()(const std::pair<double, Point>& a,
-                    const std::pair<double, Point>& b) const {
-      return a.first < b.first;
-    }
-  };
-  std::priority_queue<std::pair<double, Point>,
-                      std::vector<std::pair<double, Point>>, FirstLess>
-      heap;
-  auto kth = [&]() { return heap.size() < k ? kInf : heap.top().first; };
-
-  while (!pq.empty()) {
-    const Cand c = pq.top();
-    pq.pop();
-    if (heap.size() >= k && c.d2 >= kth()) break;
-    if (c.node->leaf) {
-      const Block& b = store_.Access(c.node->block, ctx);
-      for (const auto& e : b.entries) {
-        const double d2 = SquaredDist(e.pt, q);
-        if (heap.size() < k) {
-          heap.emplace(d2, e.pt);
-        } else if (d2 < heap.top().first) {
-          heap.pop();
-          heap.emplace(d2, e.pt);
-        }
-      }
-      continue;
-    }
-    ctx.CountNodePage();
-    for (const auto& child : c.node->children) {
-      pq.push({child->orig_mbr.MinDist2(q), child.get()});
-    }
-  }
-  std::vector<std::pair<double, Point>> tmp;
-  while (!heap.empty()) {
-    tmp.push_back(heap.top());
-    heap.pop();
-  }
-  std::vector<Point> out(tmp.size());
-  for (size_t i = 0; i < tmp.size(); ++i) {
-    out[tmp.size() - 1 - i] = tmp[i].second;
-  }
-  return out;
+  return TreeKnnQuery(root_.get(), &Node::orig_mbr, q, k, store_, ctx);
 }
 
 void HrrTree::InsertOne(const Point& p) {

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
+
+#include "core/search_algorithms.h"
 
 namespace rsmi {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Finite stand-in for the unbounded root region (avoids inf arithmetic).
 constexpr double kHuge = 1e18;
 
@@ -168,83 +167,14 @@ std::optional<PointEntry> KdbTree::PointQuery(const Point& q,
 
 std::vector<Point> KdbTree::WindowQuery(const Rect& w,
                                         QueryContext& ctx) const {
-  std::vector<Point> out;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node->leaf) {
-      const Block& b = store_.Access(node->block, ctx);
-      for (const auto& e : b.entries) {
-        if (w.Contains(e.pt)) out.push_back(e.pt);
-      }
-      continue;
-    }
-    ctx.CountNodePage();
-    for (const auto& child : node->children) {
-      if (child->region.Intersects(w)) stack.push_back(child.get());
-    }
-  }
-  return out;
+  return TreeWindowQuery(root_.get(), &Node::region, w, w, store_, ctx);
 }
 
 std::vector<Point> KdbTree::KnnQuery(const Point& q, size_t k,
                                      QueryContext& ctx) const {
   if (k == 0 || live_points_ == 0) return {};
   // Best-first search [40] over the disjoint regions.
-  struct Cand {
-    double d2;
-    const Node* node;
-  };
-  struct CandGreater {
-    bool operator()(const Cand& a, const Cand& b) const { return a.d2 > b.d2; }
-  };
-  std::priority_queue<Cand, std::vector<Cand>, CandGreater> pq;
-  pq.push({0.0, root_.get()});
-
-  struct FirstLess {
-    bool operator()(const std::pair<double, Point>& a,
-                    const std::pair<double, Point>& b) const {
-      return a.first < b.first;
-    }
-  };
-  std::priority_queue<std::pair<double, Point>,
-                      std::vector<std::pair<double, Point>>, FirstLess>
-      heap;
-  auto kth = [&]() { return heap.size() < k ? kInf : heap.top().first; };
-
-  while (!pq.empty()) {
-    const Cand c = pq.top();
-    pq.pop();
-    if (heap.size() >= k && c.d2 >= kth()) break;
-    if (c.node->leaf) {
-      const Block& b = store_.Access(c.node->block, ctx);
-      for (const auto& e : b.entries) {
-        const double d2 = SquaredDist(e.pt, q);
-        if (heap.size() < k) {
-          heap.emplace(d2, e.pt);
-        } else if (d2 < heap.top().first) {
-          heap.pop();
-          heap.emplace(d2, e.pt);
-        }
-      }
-      continue;
-    }
-    ctx.CountNodePage();
-    for (const auto& child : c.node->children) {
-      pq.push({child->region.MinDist2(q), child.get()});
-    }
-  }
-  std::vector<std::pair<double, Point>> tmp;
-  while (!heap.empty()) {
-    tmp.push_back(heap.top());
-    heap.pop();
-  }
-  std::vector<Point> out(tmp.size());
-  for (size_t i = 0; i < tmp.size(); ++i) {
-    out[tmp.size() - 1 - i] = tmp[i].second;
-  }
-  return out;
+  return TreeKnnQuery(root_.get(), &Node::region, q, k, store_, ctx);
 }
 
 std::unique_ptr<KdbTree::Node> KdbTree::SplitNode(Node* node) {

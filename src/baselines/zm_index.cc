@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <numeric>
-#include <queue>
-#include <unordered_set>
 
+#include "core/search_algorithms.h"
 #include "io/serializer.h"
 #include "nn/inference_engine.h"
 #include "sfc/z_curve.h"
 
 namespace rsmi {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 int Clamp(int v, int lo, int hi) { return std::max(lo, std::min(hi, v)); }
 
@@ -457,72 +453,9 @@ std::vector<Point> ZmIndex::KnnQuery(const Point& q, size_t k,
                                      QueryContext& ctx) const {
   // The paper: "ZM does not come with a kNN algorithm, so we use our kNN
   // algorithm for it" (Section 6.2.4) — Algorithm 3 on the ZM layout.
-  if (k == 0 || live_points_ == 0) return {};
-  const size_t reachable = std::min(k, live_points_);
-
-  struct FirstLess {
-    bool operator()(const std::pair<double, Point>& a,
-                    const std::pair<double, Point>& b) const {
-      return a.first < b.first;
-    }
-  };
-  std::priority_queue<std::pair<double, Point>,
-                      std::vector<std::pair<double, Point>>, FirstLess>
-      heap;
-  auto kth = [&]() { return heap.size() < k ? kInf : heap.top().first; };
-
-  const double frac =
-      std::sqrt(static_cast<double>(k) / static_cast<double>(live_points_));
-  const double cap = 1.0 / std::max(1e-9, frac);
-  const double ax = std::min(pmf_x_.SlopeAlpha(q.x, cfg_.knn_delta), cap);
-  const double ay = std::min(pmf_y_.SlopeAlpha(q.y, cfg_.knn_delta), cap);
-  double width = std::max(1e-9, ax * frac);
-  double height = std::max(1e-9, ay * frac);
-
-  std::unordered_set<int> visited;
-  for (int round = 0; round < 64; ++round) {
-    const Rect wq{{q.x - width / 2, q.y - height / 2},
-                  {q.x + width / 2, q.y + height / 2}};
-    const auto [begin, end] = WindowBlockRange(wq, ctx);
-    store_.ScanChainRaw(begin, end, [&](int id, const Block& blk) {
-      if (!visited.insert(id).second) return false;
-      if (heap.size() >= k && blk.mbr.MinDist2(q) >= kth()) return false;
-      const Block& b = store_.Access(id, ctx);
-      for (const auto& e : b.entries) {
-        const double d2 = SquaredDist(e.pt, q);
-        if (heap.size() < k) {
-          heap.emplace(d2, e.pt);
-        } else if (d2 < heap.top().first) {
-          heap.pop();
-          heap.emplace(d2, e.pt);
-        }
-      }
-      return false;
-    });
-    const bool exhausted = wq.ContainsRect(data_bounds_);
-    if (heap.size() < reachable) {
-      if (exhausted) break;
-      width *= 2;
-      height *= 2;
-      continue;
-    }
-    const double kd = std::sqrt(kth());
-    if (kd > std::sqrt(width * width + height * height) / 2) {
-      if (exhausted) break;
-      width = 2 * kd;
-      height = 2 * kd;
-      continue;
-    }
-    break;
-  }
-  std::vector<std::pair<double, Point>> tmp;
-  while (!heap.empty()) {
-    tmp.push_back(heap.top());
-    heap.pop();
-  }
-  std::vector<Point> out(tmp.size());
-  for (size_t i = 0; i < tmp.size(); ++i) out[tmp.size() - 1 - i] = tmp[i].second;
-  return out;
+  return SearchRegionKnn(
+      q, k, live_points_, pmf_x_, pmf_y_, cfg_.knn_delta, data_bounds_,
+      store_, ctx, [&](const Rect& wq) { return WindowBlockRange(wq, ctx); });
 }
 
 void ZmIndex::InsertOne(const Point& p) {
@@ -531,21 +464,8 @@ void ZmIndex::InsertOne(const Point& p) {
   QueryContext ctx;
   const uint64_t zp = ZValue(p);
   const Prediction pred = PredictBlock(zp, ctx);
-  const int gid = Clamp(pred.block, 0, num_build_blocks_ - 1);
-  int placed = -1;
-  int last = gid;
-  for (int cur = gid;;) {
-    const Block& b = store_.Access(cur, ctx);
-    if (static_cast<int>(b.entries.size()) < cfg_.block_capacity) {
-      placed = cur;
-      break;
-    }
-    last = cur;
-    const int nxt = b.next;
-    if (nxt < 0 || !store_.Peek(nxt).inserted) break;
-    cur = nxt;
-  }
-  if (placed < 0) placed = store_.AllocInsertedAfter(last);
+  const int placed = store_.BlockWithRoom(
+      Clamp(pred.block, 0, num_build_blocks_ - 1), ctx);
   Block& blk = store_.MutableBlock(placed);
   if (blk.entries.empty()) {
     blk.cv_lo = zp;

@@ -1,25 +1,22 @@
 #include "core/rsmi_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <numeric>
 #include <queue>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
+#include "common/parallel_for.h"
+#include "core/search_algorithms.h"
 #include "io/index_container.h"
 #include "nn/inference_engine.h"
 #include "rank/rank_space.h"
 
 namespace rsmi {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 int Clamp(int v, int lo, int hi) { return std::max(lo, std::min(hi, v)); }
 
@@ -117,7 +114,8 @@ RsmiIndex::RsmiIndex(const std::vector<Point>& pts, const RsmiConfig& cfg)
     std::vector<LeafTrainJob> jobs;
     leaf_jobs_ = &jobs;
     root_ = BuildNode(std::move(entries), 0);
-    RunLeafTrainJobs();
+    ParallelFor(jobs.size(), cfg_.build_threads,
+                [&jobs](size_t i) { RunLeafTrainJob(&jobs[i]); });
     leaf_jobs_ = nullptr;
   } else {
     root_ = BuildNode(std::move(entries), 0);
@@ -320,28 +318,6 @@ void RsmiIndex::RunLeafTrainJob(LeafTrainJob* job) {
     node->err_below = std::max(node->err_below, diff);
     node->err_above = std::max(node->err_above, -diff);
   }
-}
-
-void RsmiIndex::RunLeafTrainJobs() {
-  std::vector<LeafTrainJob>& jobs = *leaf_jobs_;
-  const int workers = std::max(
-      1, std::min<int>(cfg_.build_threads, static_cast<int>(jobs.size())));
-  if (workers == 1) {
-    for (LeafTrainJob& job : jobs) RunLeafTrainJob(&job);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&jobs, &next] {
-      for (size_t i = next.fetch_add(1); i < jobs.size();
-           i = next.fetch_add(1)) {
-        RunLeafTrainJob(&jobs[i]);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -785,130 +761,40 @@ std::vector<PointEntry> RsmiIndex::WindowQueryExactEntries(
 // kNN queries (Algorithm 3)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Bounded max-heap of the k best candidates found so far (Q in Alg. 3).
-class KnnHeap {
- public:
-  explicit KnnHeap(size_t k) : k_(k) {}
-
-  double KthDist2() const { return heap_.size() < k_ ? kInf : heap_.top().first; }
-  size_t size() const { return heap_.size(); }
-
-  void Offer(double d2, const Point& p) {
-    if (heap_.size() < k_) {
-      heap_.emplace(d2, p);
-    } else if (d2 < heap_.top().first) {
-      heap_.pop();
-      heap_.emplace(d2, p);
-    }
-  }
-
-  /// Extracts all candidates ordered by increasing distance.
-  std::vector<Point> Sorted() {
-    std::vector<std::pair<double, Point>> tmp;
-    tmp.reserve(heap_.size());
-    while (!heap_.empty()) {
-      tmp.push_back(heap_.top());
-      heap_.pop();
-    }
-    std::vector<Point> out(tmp.size());
-    for (size_t i = 0; i < tmp.size(); ++i) {
-      out[tmp.size() - 1 - i] = tmp[i].second;
-    }
-    return out;
-  }
-
- private:
-  struct FirstLess {
-    bool operator()(const std::pair<double, Point>& a,
-                    const std::pair<double, Point>& b) const {
-      return a.first < b.first;
-    }
-  };
-  size_t k_;
-  std::priority_queue<std::pair<double, Point>,
-                      std::vector<std::pair<double, Point>>, FirstLess>
-      heap_;
-};
-
-}  // namespace
-
 std::vector<Point> RsmiIndex::KnnQuery(const Point& q, size_t k,
                                        QueryContext& ctx) const {
-  if (k == 0 || live_points_ == 0) return {};
-  const size_t reachable = std::min(k, live_points_);
-  KnnHeap heap(k);
-
-  // Initial search region ~ alpha * sqrt(k/n) per dimension (Section 4.3),
-  // with the skew factors estimated from the marginal PMFs (Eq. 6).
-  const double frac =
-      std::sqrt(static_cast<double>(k) / static_cast<double>(live_points_));
-  const double cap = 1.0 / std::max(1e-9, frac);  // keep width/height <= ~1
-  const double ax = std::min(pmf_x_.SlopeAlpha(q.x, cfg_.knn_delta), cap);
-  const double ay = std::min(pmf_y_.SlopeAlpha(q.y, cfg_.knn_delta), cap);
-  double width = std::max(1e-9, ax * frac);
-  double height = std::max(1e-9, ay * frac);
-
-  std::unordered_set<int> visited;
-  std::unordered_set<const Node*> visited_buffers;
-  for (int round = 0; round < 64; ++round) {
-    const Rect wq{{q.x - width / 2, q.y - height / 2},
-                  {q.x + width / 2, q.y + height / 2}};
-    const auto [begin, end] = WindowBlockRange(wq, ctx);
-    store_.ScanChainRaw(begin, end, [&](int id, const Block& blk) {
-      if (!visited.insert(id).second) return false;  // Alg. 3: "unvisited"
-      if (heap.size() >= k && blk.mbr.MinDist2(q) >= heap.KthDist2()) {
-        return false;  // MINDIST pruning (Alg. 3 line 7)
-      }
-      const Block& b = store_.Access(id, ctx);
-      for (const auto& e : b.entries) heap.Offer(SquaredDist(e.pt, q), e.pt);
-      return false;
-    });
-    if (cfg_.update_strategy == UpdateStrategy::kLeafBuffer) {
-      // Buffered insertions live outside the block chain; pull in the
-      // buffer of every not-yet-visited leaf intersecting the window.
-      struct BufferWalker {
-        const Rect& wq;
-        const Point& q;
-        KnnHeap& heap;
-        QueryContext& ctx;
-        std::unordered_set<const Node*>& seen;
-        void Visit(const Node* node) {
-          if (!node->mbr.Valid() || !node->mbr.Intersects(wq)) return;
-          if (node->leaf) {
-            if (node->buffer.empty() || !seen.insert(node).second) return;
-            ctx.CountBlockAccess();
-            for (const auto& e : node->buffer) {
-              heap.Offer(SquaredDist(e.pt, q), e.pt);
-            }
-            return;
-          }
-          for (const auto& child : node->children) {
-            if (child != nullptr) Visit(child.get());
-          }
+  // Buffered insertions (kLeafBuffer) live outside the block chain: each
+  // round of Algorithm 3 pulls in the buffer of every not-yet-visited
+  // leaf intersecting the search region.
+  struct BufferWalker {
+    const Rect& wq;
+    const Point& q;
+    KnnHeap& heap;
+    QueryContext& ctx;
+    std::unordered_set<const Node*>& seen;
+    void Visit(const Node* node) {
+      if (!node->mbr.Valid() || !node->mbr.Intersects(wq)) return;
+      if (node->leaf) {
+        if (node->buffer.empty() || !seen.insert(node).second) return;
+        ctx.CountBlockAccess();
+        for (const auto& e : node->buffer) {
+          heap.Offer(SquaredDist(e.pt, q), e.pt);
         }
-      };
-      BufferWalker{wq, q, heap, ctx, visited_buffers}.Visit(root_.get());
+        return;
+      }
+      for (const auto& child : node->children) {
+        if (child != nullptr) Visit(child.get());
+      }
     }
-
-    const bool exhausted = wq.ContainsRect(data_bounds_);
-    if (heap.size() < reachable) {
-      if (exhausted) break;
-      width *= 2;
-      height *= 2;
-      continue;
-    }
-    const double kth = std::sqrt(heap.KthDist2());
-    if (kth > std::sqrt(width * width + height * height) / 2) {
-      if (exhausted) break;
-      width = 2 * kth;
-      height = 2 * kth;
-      continue;
-    }
-    break;  // Q[k] inside the search region: done
-  }
-  return heap.Sorted();
+  };
+  std::unordered_set<const Node*> visited_buffers;
+  return SearchRegionKnn(
+      q, k, live_points_, pmf_x_, pmf_y_, cfg_.knn_delta, data_bounds_,
+      store_, ctx, [&](const Rect& wq) { return WindowBlockRange(wq, ctx); },
+      [&](const Rect& wq, KnnHeap& heap) {
+        if (cfg_.update_strategy != UpdateStrategy::kLeafBuffer) return;
+        BufferWalker{wq, q, heap, ctx, visited_buffers}.Visit(root_.get());
+      });
 }
 
 std::vector<Point> RsmiIndex::KnnQueryExact(const Point& q, size_t k,
@@ -931,7 +817,7 @@ std::vector<Point> RsmiIndex::KnnQueryExact(const Point& q, size_t k,
   while (!pq.empty()) {
     const Cand c = pq.top();
     pq.pop();
-    if (result.size() >= k && c.d2 >= result.KthDist2()) break;
+    if (result.Full() && c.d2 >= result.KthDist2()) break;
     if (c.node == nullptr) {
       const Block& b = store_.Access(c.block_id, ctx);
       for (const auto& e : b.entries) result.Offer(SquaredDist(e.pt, q), e.pt);
@@ -996,27 +882,10 @@ void RsmiIndex::InsertOne(const Point& p) {
     return;
   }
 
-  const int pb = PredictLeafBlock(*leaf, p);
-  const int gid = leaf->first_block + pb;
-
-  // Place into the predicted block if it has room; otherwise walk its
-  // overflow run (cost O(I*B), Section 5) and append a new inserted block
-  // at the end of the run if everything is full.
-  int placed = -1;
-  int last = gid;
-  for (int cur = gid;;) {
-    const Block& b = store_.Access(cur, ctx);
-    if (static_cast<int>(b.entries.size()) < cfg_.block_capacity) {
-      placed = cur;
-      break;
-    }
-    last = cur;
-    const int nxt = b.next;
-    if (nxt < 0 || !store_.Peek(nxt).inserted) break;
-    cur = nxt;
-  }
-  if (placed < 0) placed = store_.AllocInsertedAfter(last);
-
+  // Place into the predicted block if it has room; otherwise into its
+  // overflow run, growing the run if everything is full (Section 5).
+  const int placed =
+      store_.BlockWithRoom(leaf->first_block + PredictLeafBlock(*leaf, p), ctx);
   Block& blk = store_.MutableBlock(placed);
   blk.entries.push_back(PointEntry{p, next_id_++});
   blk.mbr.Expand(p);
@@ -1446,18 +1315,6 @@ bool RsmiIndex::LoadFrom(Deserializer& in) {
     return in.Fail("RSMI leaf block range out of store bounds");
   }
   return true;
-}
-
-bool RsmiIndex::Save(const std::string& path) const {
-  return SaveIndex(*this, path);
-}
-
-std::unique_ptr<RsmiIndex> RsmiIndex::Load(const std::string& path) {
-  std::unique_ptr<SpatialIndex> index = LoadIndex(path);
-  auto* rsmi = dynamic_cast<RsmiIndex*>(index.get());
-  if (rsmi == nullptr) return nullptr;  // not an index file, or not RSMI
-  index.release();
-  return std::unique_ptr<RsmiIndex>(rsmi);
 }
 
 }  // namespace rsmi

@@ -124,12 +124,6 @@ class RsmiIndex : public SpatialIndex {
     return std::unique_ptr<RsmiIndex>(new RsmiIndex(LoadTag{}));
   }
 
-  /// Convenience wrappers over SaveIndex/LoadIndex for RSMI-only callers
-  /// (kept from the pre-container API; they read/write the same
-  /// container files as the polymorphic entry points).
-  bool Save(const std::string& path) const;
-  static std::unique_ptr<RsmiIndex> Load(const std::string& path);
-
   /// Maximum leaf-model error bounds across the index, in blocks —
   /// the (err_l, err_a) pair reported by Table 4.
   int MaxErrBelow() const;
@@ -144,7 +138,7 @@ class RsmiIndex : public SpatialIndex {
  private:
   struct Node;
   struct LoadTag {};
-  explicit RsmiIndex(LoadTag);  // uninitialized shell filled by Load()
+  explicit RsmiIndex(LoadTag);  // uninitialized shell filled by LoadFrom
 
   void WriteNode(Serializer& out, const Node& node) const;
   static std::unique_ptr<Node> ReadNode(Deserializer& in, int depth);
@@ -167,8 +161,6 @@ class RsmiIndex : public SpatialIndex {
   };
   /// Trains one queued leaf model and records its error bounds.
   static void RunLeafTrainJob(LeafTrainJob* job);
-  /// Executes all queued jobs on cfg_.build_threads workers.
-  void RunLeafTrainJobs();
 
   // --- descent helpers ---
   /// Child slot predicted by an internal node's model for point `p`.

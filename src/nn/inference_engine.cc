@@ -91,11 +91,6 @@ enum class ForcedKernel { kNone, kScalar, kAvx2, kAvx512, kSpecialized };
 
 ForcedKernel ForcedKernelFromEnv() {
   std::string v = GetEnvString("RSMI_FORCE_KERNEL", "");
-  if (v.empty()) {
-    // Back-compat escape hatch from PR 3.
-    return GetEnvInt64("RSMI_FORCE_SCALAR", 0) != 0 ? ForcedKernel::kScalar
-                                                    : ForcedKernel::kNone;
-  }
   for (char& c : v) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   if (v == "scalar") return ForcedKernel::kScalar;
   if (v == "avx2") return ForcedKernel::kAvx2;
@@ -383,14 +378,7 @@ size_t AutotuneChunkWidth() {
 }  // namespace
 
 size_t BatchDescentChunkWidth() {
-  static const size_t width = [] {
-    const int64_t forced = GetEnvInt64("RSMI_BATCH_CHUNK", 0);
-    if (forced > 0) {
-      return static_cast<size_t>(
-          std::min<int64_t>(std::max<int64_t>(forced, 16), 1 << 20));
-    }
-    return AutotuneChunkWidth();
-  }();
+  static const size_t width = AutotuneChunkWidth();
   return width;
 }
 

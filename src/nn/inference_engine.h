@@ -36,9 +36,6 @@ std::string InferenceKernelName(InferenceKernel k);
 ///     shape specialization so the generic path is what actually runs;
 ///     `specialized` is the default policy made explicit. Unavailable
 ///     requests fall back down the chain (avx512 -> avx2 -> scalar).
-///   RSMI_FORCE_SCALAR=1
-///     Back-compat alias for RSMI_FORCE_KERNEL=scalar (ignored when
-///     RSMI_FORCE_KERNEL is set).
 ///
 /// Forcing a kernel never changes results — every kernel is
 /// bit-identical by construction.
@@ -62,9 +59,8 @@ bool HasSpecializedKernelShape(int input_dim, int hidden_dim);
 /// descents (RsmiIndex / ZmIndex): descents slice each per-node segment
 /// into chunks of this many samples so the feature/prediction staging
 /// buffers stay cache-resident. Autotuned once per process with a quick
-/// micro-calibration over a representative engine shape; override with
-/// RSMI_BATCH_CHUNK=<n>. Chunking never changes results or query
-/// counters — kernels are batch-size invariant.
+/// micro-calibration over a representative engine shape. Chunking never
+/// changes results or query counters — kernels are batch-size invariant.
 size_t BatchDescentChunkWidth();
 
 /// Batched forward pass over one trained MLP's weights.

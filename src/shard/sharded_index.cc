@@ -1,16 +1,13 @@
 #include "shard/sharded_index.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include <chrono>
-
-#include "common/env.h"
 #include "common/group_by.h"
+#include "common/parallel_for.h"
 #include "io/index_container.h"
 #include "io/serializer.h"
 #include "obs/metrics.h"
@@ -34,47 +31,6 @@ Histogram& FreezeDeltaOpsHistogram() {
   static Histogram& h =
       MetricsRegistry::Global().GetHistogram("shard.freeze_delta_ops");
   return h;
-}
-
-/// Effective intra-query fan-out width: the environment override wins
-/// over the config (a serving knob an operator flips without a rebuild).
-int ResolveQueryThreads(int cfg_threads) {
-  const int64_t env = GetEnvInt64("RSMI_SHARD_QUERY_THREADS", 0);
-  const int64_t v = env > 0 ? env : cfg_threads;
-  return static_cast<int>(std::min<int64_t>(std::max<int64_t>(v, 1), 256));
-}
-
-/// Effective delta-merge threshold, same env-beats-config rule.
-size_t ResolveDeltaThreshold(size_t cfg_threshold) {
-  const int64_t env = GetEnvInt64("RSMI_SHARD_DELTA_THRESHOLD", 0);
-  const int64_t v = env > 0 ? env : static_cast<int64_t>(cfg_threshold);
-  return static_cast<size_t>(std::max<int64_t>(v, 1));
-}
-
-/// Runs fn(0..jobs-1) on `workers` threads (atomic work stealing). Each
-/// job writes only its own output slot, so the only shared state is the
-/// counter; a sub-query failure is rethrown on the calling thread.
-void RunShardJobs(size_t jobs, int workers,
-                  const std::function<void(size_t)>& fn) {
-  std::atomic<size_t> next{0};
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(workers));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      try {
-        for (size_t j = next.fetch_add(1); j < jobs; j = next.fetch_add(1)) {
-          fn(j);
-        }
-      } catch (...) {
-        errors[static_cast<size_t>(w)] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e != nullptr) std::rethrow_exception(e);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -213,8 +169,7 @@ ShardedIndex::ShardedIndex(const std::vector<Point>& pts,
   ShardPartitionerConfig pcfg = cfg.partition;
   pcfg.num_shards = cfg.num_shards;
   partitioner_ = ShardPartitioner(pts, pcfg);
-  query_threads_ = ResolveQueryThreads(cfg.query_threads);
-  delta_merge_threshold_ = ResolveDeltaThreshold(cfg.delta_merge_threshold);
+  delta_merge_threshold_ = std::max<size_t>(cfg.delta_merge_threshold, 1);
   background_merge_ = cfg.background_merge;
 
   const size_t k = static_cast<size_t>(partitioner_.num_shards());
@@ -227,38 +182,12 @@ ShardedIndex::ShardedIndex(const std::vector<Point>& pts,
 
   // Parallel shard build: shards are fully independent (each builder
   // call sees only its own points), so any worker count yields the same
-  // index — workers only change wall time.
+  // index — workers only change wall time. A builder that throws on a
+  // worker throws to the caller, as it would on one thread.
   std::vector<std::unique_ptr<SpatialIndex>> built(k);
-  const int workers = std::max(
-      1, std::min<int>(cfg.build_threads, static_cast<int>(k)));
-  if (workers == 1) {
-    for (size_t i = 0; i < k; ++i) {
-      built[i] = builder(parts[i], static_cast<int>(i));
-    }
-  } else {
-    // A builder failure on a worker must reach the caller like it would
-    // on the sequential path, not std::terminate the process.
-    std::atomic<size_t> next{0};
-    std::vector<std::exception_ptr> errors(static_cast<size_t>(workers));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&built, &parts, &builder, &next, &errors, k, w] {
-        try {
-          for (size_t i = next.fetch_add(1); i < k;
-               i = next.fetch_add(1)) {
-            built[i] = builder(parts[i], static_cast<int>(i));
-          }
-        } catch (...) {
-          errors[static_cast<size_t>(w)] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    for (const std::exception_ptr& e : errors) {
-      if (e != nullptr) std::rethrow_exception(e);
-    }
-  }
+  ParallelFor(k, cfg.build_threads, [&](size_t i) {
+    built[i] = builder(parts[i], static_cast<int>(i));
+  });
   shards_.reserve(k);
   for (size_t i = 0; i < k; ++i) {
     if (built[i] == nullptr) {
@@ -377,37 +306,13 @@ std::vector<Point> ShardedIndex::WindowQuery(const Rect& w,
   // Fan out to the overlapping shards only: a shard's region bounds all
   // of its points (buffered inserts included), so non-intersecting
   // shards cannot contribute.
-  std::vector<size_t> hit;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (eps[i]->region.Valid() && eps[i]->region.Intersects(w)) {
-      hit.push_back(i);
-    }
-  }
   std::vector<Point> out;
-  const int workers =
-      std::min<int>(query_threads_, static_cast<int>(hit.size()));
-  if (workers <= 1) {
-    for (const size_t i : hit) {
-      std::vector<Point> part =
-          EpochWindowQuery(*eps[i]->base, LayerOrNull(eps[i]->merging),
-                           LayerOrNull(eps[i]->delta), w, ctx);
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
-  }
-  // Parallel fan-out: each sub-query charges a private context; merging
-  // contexts and concatenating results in shard order makes the whole
-  // call indistinguishable from the sequential loop above.
-  std::vector<std::vector<Point>> parts(hit.size());
-  std::vector<QueryContext> sub(hit.size());
-  RunShardJobs(hit.size(), workers, [&](size_t j) {
-    const size_t i = hit[j];
-    parts[j] = EpochWindowQuery(*eps[i]->base, LayerOrNull(eps[i]->merging),
-                                LayerOrNull(eps[i]->delta), w, sub[j]);
-  });
-  for (size_t j = 0; j < hit.size(); ++j) {
-    ctx.MergeFrom(sub[j]);
-    out.insert(out.end(), parts[j].begin(), parts[j].end());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (!eps[i]->region.Valid() || !eps[i]->region.Intersects(w)) continue;
+    const std::vector<Point> part =
+        EpochWindowQuery(*eps[i]->base, LayerOrNull(eps[i]->merging),
+                         LayerOrNull(eps[i]->delta), w, ctx);
+    out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }
@@ -451,35 +356,14 @@ std::vector<Point> ShardedIndex::KnnQuery(const Point& q, size_t k,
     if (a.pt.x != b.pt.x) return a.pt.x < b.pt.x;
     return a.pt.y < b.pt.y;
   };
-  const auto shard_knn = [&](size_t i, QueryContext& c) {
-    return EpochKnnQuery(*eps[i]->base, LayerOrNull(eps[i]->merging),
-                         LayerOrNull(eps[i]->delta), q, k, c);
-  };
-  // Parallel fan-out queries every candidate shard up front (the k-th
-  // distance bound that lets the sequential walk skip far shards only
-  // exists once nearer shards have answered). The merged result is
-  // identical — skipped shards cannot contribute, see the loop's break —
-  // but counted costs include the shards the sequential walk would have
-  // skipped; each sub-query charges a private context, merged at the end.
-  const int workers =
-      std::min<int>(query_threads_, static_cast<int>(order.size()));
-  std::vector<std::vector<Point>> parts;
-  std::vector<QueryContext> sub;
-  if (workers > 1) {
-    parts.resize(order.size());
-    sub.assign(order.size(), QueryContext{});
-    RunShardJobs(order.size(), workers, [&](size_t j) {
-      parts[j] = shard_knn(order[j].shard, sub[j]);
-    });
-  }
-
   std::vector<Cand> heap;  // max-heap under `farther`
   heap.reserve(k + 1);
-  for (size_t j = 0; j < order.size(); ++j) {
-    const ShardDist& sd = order[j];
+  for (const ShardDist& sd : order) {
     if (heap.size() == k && sd.d2 > heap.front().d2) break;
+    const size_t i = sd.shard;
     const std::vector<Point> cand =
-        workers > 1 ? std::move(parts[j]) : shard_knn(sd.shard, ctx);
+        EpochKnnQuery(*eps[i]->base, LayerOrNull(eps[i]->merging),
+                      LayerOrNull(eps[i]->delta), q, k, ctx);
     for (const Point& p : cand) {
       const Cand c{SquaredDist(p, q), p};
       if (heap.size() < k) {
@@ -492,7 +376,6 @@ std::vector<Point> ShardedIndex::KnnQuery(const Point& q, size_t k,
       }
     }
   }
-  for (const QueryContext& s : sub) ctx.MergeFrom(s);
   std::sort(heap.begin(), heap.end(), farther);
   std::vector<Point> out;
   out.reserve(heap.size());
@@ -860,10 +743,9 @@ bool ShardedIndex::SaveTo(Serializer& out) const {
 }
 
 bool ShardedIndex::LoadFrom(Deserializer& in) {
-  // Serving knobs, not persisted structure: a loaded index fans out and
-  // merges with whatever the deployment environment asks for.
-  query_threads_ = ResolveQueryThreads(1);
-  delta_merge_threshold_ = ResolveDeltaThreshold(256);
+  // Merge settings are not persisted structure: a loaded index merges
+  // with the defaults.
+  delta_merge_threshold_ = 256;
   background_merge_ = true;
   uint32_t k = 0;
   if (!in.ReadPod(&k)) return false;

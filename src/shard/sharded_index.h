@@ -30,19 +30,8 @@ struct ShardedIndexConfig {
   /// Worker threads for the parallel shard build. Shards build
   /// independently, so any thread count produces the same index.
   int build_threads = 1;
-  /// Worker threads for intra-query fan-out: a single window or kNN
-  /// query touching several shards runs the per-shard sub-queries
-  /// concurrently when > 1 (off by default — batch-level parallelism in
-  /// exec/ is usually the better use of cores under load; this helps
-  /// latency of isolated large queries). Results are identical at any
-  /// setting; the RSMI_SHARD_QUERY_THREADS environment variable
-  /// overrides it at runtime. See WindowQuery/KnnQuery for the cost
-  /// accounting caveat.
-  int query_threads = 1;
   /// Buffered ops a shard's active delta holds before it is frozen and
-  /// merged into the shard's base structure. The
-  /// RSMI_SHARD_DELTA_THRESHOLD environment variable overrides it at
-  /// runtime (a serving knob, like query_threads).
+  /// merged into the shard's base structure (at least 1).
   size_t delta_merge_threshold = 256;
   /// Run threshold-triggered merges on the background maintenance
   /// thread (the default). `false` merges inline on the writer thread
@@ -75,9 +64,9 @@ using ShardBuilder = std::function<std::unique_ptr<SpatialIndex>(
 /// whose region intersects the window. kNN fans out best-first over
 /// shard regions sharing one result heap: once k candidates are held, a
 /// shard whose region is farther than the current k-th distance is
-/// skipped entirely. Both fan-outs can run their per-shard sub-queries
-/// on a thread pool (`query_threads` / RSMI_SHARD_QUERY_THREADS) with
-/// identical results — see the per-method docs.
+/// skipped entirely. Both fan-outs run their per-shard sub-queries one
+/// after another on the calling thread, charging the caller's context;
+/// parallelism across queries comes from the callers (exec/, server/).
 ///
 /// Concurrent updates (epoch/RCU publication): each shard's visible
 /// state is one immutable Epoch — a shared_ptr to {base index, active
@@ -131,18 +120,12 @@ class ShardedIndex : public SpatialIndex {
 
   std::optional<PointEntry> PointQuery(const Point& q,
                                        QueryContext& ctx) const override;
-  /// Fans out to the shards whose region intersects `w`. With
-  /// query_threads > 1 the per-shard sub-queries run concurrently, each
-  /// on its own QueryContext, merged into `ctx` in shard order —
-  /// results and counted costs identical to the sequential fan-out.
+  /// Fans out to the shards whose region intersects `w`, in shard order.
   std::vector<Point> WindowQuery(const Rect& w,
                                  QueryContext& ctx) const override;
-  /// Best-first over shard regions sharing one result heap. With
-  /// query_threads > 1 every candidate shard is queried concurrently and
-  /// the per-shard top-k sets are merged in the same region-distance
-  /// order — the *result* is identical, but counted costs can exceed the
-  /// sequential path's, which skips shards already excluded by the k-th
-  /// distance bound (a bound the parallel fan-out cannot know up front).
+  /// Best-first over shard regions sharing one result heap, which breaks
+  /// distance ties by (x, y); stops at the first shard whose region is
+  /// farther than the k-th candidate.
   std::vector<Point> KnnQuery(const Point& q, size_t k,
                               QueryContext& ctx) const override;
 
@@ -204,9 +187,7 @@ class ShardedIndex : public SpatialIndex {
   }
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  /// Effective intra-query fan-out width (config / env, clamped).
-  int query_threads() const { return query_threads_; }
-  /// Active-delta size that freezes a shard for merging (config / env).
+  /// Active-delta size that freezes a shard for merging.
   size_t delta_merge_threshold() const { return delta_merge_threshold_; }
   /// Shard `i`'s current base structure. The reference is stable only
   /// while no merge can publish (exclusive access or after a fence);
@@ -309,10 +290,6 @@ class ShardedIndex : public SpatialIndex {
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Visible points: base totals plus buffered net inserts.
   std::atomic<size_t> live_points_{0};
-  /// Intra-query fan-out width (1 = sequential). Loaded indices resolve
-  /// it from the environment in LoadFrom (it is a serving knob, not part
-  /// of the persisted structure).
-  int query_threads_ = 1;
   size_t delta_merge_threshold_ = 256;
   bool background_merge_ = true;
 

@@ -233,6 +233,21 @@ class BlockStore {
     return id;
   }
 
+  /// Section 5 insert placement: the first block with room for one more
+  /// entry in the run that starts at `block` (the block itself, then the
+  /// inserted overflow blocks spliced after it), charging one counted
+  /// access per block read. If the whole run is full, a new overflow block
+  /// is spliced after the run's last block and returned (cost O(I*B)).
+  int BlockWithRoom(int block, QueryContext& ctx) {
+    int cur = block;
+    while (static_cast<int>(Access(cur, ctx).entries.size()) >= capacity_) {
+      const int nxt = blocks_[cur].next;
+      if (nxt < 0 || !blocks_[nxt].inserted) return AllocInsertedAfter(cur);
+      cur = nxt;
+    }
+    return cur;
+  }
+
   /// Counted read access, charged to the caller's QueryContext. When an
   /// access hook is installed (external-memory mode, see
   /// xmem::ExternalIndex), the hook runs first.

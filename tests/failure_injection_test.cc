@@ -56,7 +56,7 @@ TEST_P(TruncatedIndexTest, LoadRejectsTruncationAtAnyFraction) {
     const auto data = GenerateDataset(Distribution::kNormal, 1200, 41);
     RsmiIndex index(data, SmallConfig());
     const std::string p = TempPath("truncate_base.idx");
-    EXPECT_TRUE(index.Save(p));
+    EXPECT_TRUE(SaveIndex(index, p));
     return p;
   }();
   const long full = FileSize(path);
@@ -78,7 +78,7 @@ TEST_P(TruncatedIndexTest, LoadRejectsTruncationAtAnyFraction) {
     std::fclose(in);
     std::fclose(out);
   }
-  EXPECT_EQ(RsmiIndex::Load(cut), nullptr);
+  EXPECT_EQ(LoadIndex(cut), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Fractions, TruncatedIndexTest,
@@ -97,7 +97,7 @@ TEST(FailureInjectionTest, LoadRejectsGarbageFile) {
     std::fwrite(&b, 1, 1, f);
   }
   std::fclose(f);
-  EXPECT_EQ(RsmiIndex::Load(path), nullptr);
+  EXPECT_EQ(LoadIndex(path), nullptr);
 }
 
 TEST(FailureInjectionTest, LoadRejectsEmptyAndMissingFiles) {
@@ -105,29 +105,29 @@ TEST(FailureInjectionTest, LoadRejectsEmptyAndMissingFiles) {
   std::FILE* f = std::fopen(empty.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fclose(f);
-  EXPECT_EQ(RsmiIndex::Load(empty), nullptr);
-  EXPECT_EQ(RsmiIndex::Load(TempPath("no_such_file.idx")), nullptr);
+  EXPECT_EQ(LoadIndex(empty), nullptr);
+  EXPECT_EQ(LoadIndex(TempPath("no_such_file.idx")), nullptr);
 }
 
 TEST(FailureInjectionTest, LoadRejectsWrongMagic) {
   const auto data = GenerateDataset(Distribution::kUniform, 800, 44);
   RsmiIndex index(data, SmallConfig());
   const std::string path = TempPath("wrong_magic.idx");
-  ASSERT_TRUE(index.Save(path));
+  ASSERT_TRUE(SaveIndex(index, path));
 
   std::FILE* f = std::fopen(path.c_str(), "rb+");
   ASSERT_NE(f, nullptr);
   const unsigned char junk[4] = {0xDE, 0xAD, 0xBE, 0xEF};
   ASSERT_EQ(std::fwrite(junk, 1, 4, f), 4u);
   std::fclose(f);
-  EXPECT_EQ(RsmiIndex::Load(path), nullptr);
+  EXPECT_EQ(LoadIndex(path), nullptr);
 }
 
 TEST(FailureInjectionTest, SaveToUnwritablePathFails) {
   QueryContext ctx;
   const auto data = GenerateDataset(Distribution::kUniform, 500, 45);
   RsmiIndex index(data, SmallConfig());
-  EXPECT_FALSE(index.Save("/nonexistent_dir_xyz/index.idx"));
+  EXPECT_FALSE(SaveIndex(index, "/nonexistent_dir_xyz/index.idx"));
   // The index keeps working after a failed save.
   EXPECT_TRUE(index.PointQuery(data[0], ctx).has_value());
 }
@@ -180,7 +180,7 @@ TEST(FailureInjectionTest, EverySingleBitErrorAnywhereIsDetected) {
   const auto data = GenerateDataset(Distribution::kOsm, 900, 47);
   RsmiIndex index(data, SmallConfig());
   const std::string path = TempPath("bitflip.idx");
-  ASSERT_TRUE(index.Save(path));
+  ASSERT_TRUE(SaveIndex(index, path));
   const long full = FileSize(path);
 
   Rng rng(48);

@@ -3,12 +3,16 @@
 // answers — because blocks are packed sequentially and every model's seed
 // is fixed at pack time.
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "baselines/grid_file.h"
 #include "core/rsmi_index.h"
 #include "data/generators.h"
 #include "data/workloads.h"
 #include "gtest/gtest.h"
+#include "io/index_container.h"
+#include "shard/sharded_index.h"
 
 namespace rsmi {
 namespace {
@@ -105,8 +109,8 @@ TEST(ParallelBuildTest, SaveLoadOfParallelBuiltIndex) {
   const auto data = GenerateDataset(Distribution::kNormal, 2500, 55);
   RsmiIndex index(data, ConfigWithThreads(4));
   const std::string path = ::testing::TempDir() + "/parallel_built.idx";
-  ASSERT_TRUE(index.Save(path));
-  auto loaded = RsmiIndex::Load(path);
+  ASSERT_TRUE(SaveIndex(index, path));
+  auto loaded = LoadIndex(path);
   ASSERT_NE(loaded, nullptr);
   for (size_t i = 0; i < data.size(); i += 17) {
     EXPECT_TRUE(loaded->PointQuery(data[i], ctx).has_value());
@@ -122,6 +126,49 @@ TEST(ParallelBuildTest, MoreThreadsThanLeavesIsFine) {
     EXPECT_TRUE(index.PointQuery(data[i], ctx).has_value());
   }
 }
+
+// A shard build that fails on a worker thread must fail the ShardedIndex
+// constructor on the calling thread, exactly as on one thread — never
+// std::terminate the process.
+class ShardBuildFailureTest : public ::testing::TestWithParam<int> {
+ protected:
+  std::unique_ptr<ShardedIndex> Build(const ShardBuilder& builder) const {
+    ShardedIndexConfig cfg;
+    cfg.num_shards = 4;
+    cfg.build_threads = GetParam();
+    return std::make_unique<ShardedIndex>(
+        GenerateDataset(Distribution::kUniform, 2000, 57), cfg, builder);
+  }
+};
+
+TEST_P(ShardBuildFailureTest, BuilderExceptionReachesTheCaller) {
+  const ShardBuilder builder = [](const std::vector<Point>& pts, int shard)
+      -> std::unique_ptr<SpatialIndex> {
+    if (shard == 2) throw std::invalid_argument("shard 2 failed");
+    return std::make_unique<GridFile>(pts, GridConfig{});
+  };
+  try {
+    Build(builder);
+    ADD_FAILURE() << "the constructor returned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "shard 2 failed");
+  }
+}
+
+TEST_P(ShardBuildFailureTest, NullShardThrowsRuntimeError) {
+  const ShardBuilder builder = [](const std::vector<Point>& pts, int shard)
+      -> std::unique_ptr<SpatialIndex> {
+    if (shard == 1) return nullptr;
+    return std::make_unique<GridFile>(pts, GridConfig{});
+  };
+  EXPECT_THROW(Build(builder), std::runtime_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(BuildThreads, ShardBuildFailureTest,
+                         ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace rsmi

@@ -311,8 +311,9 @@ TEST(PersistenceTest, RoundTripAnswersIdentically) {
   const auto data = GenerateDataset(Distribution::kOsm, 3000, 5);
   RsmiIndex original(data, TestConfig());
   const std::string path = TempPath("rsmi.idx");
-  ASSERT_TRUE(original.Save(path));
-  auto loaded = RsmiIndex::Load(path);
+  ASSERT_TRUE(SaveIndex(original, path));
+  auto loaded_any = LoadIndex(path);
+  auto* loaded = dynamic_cast<RsmiIndex*>(loaded_any.get());
   ASSERT_NE(loaded, nullptr);
 
   // Identical structure.
@@ -356,8 +357,9 @@ TEST(PersistenceTest, LoadedIndexAcceptsUpdatesAndRebuilds) {
   const auto data = GenerateDataset(Distribution::kSkewed, 1500, 11);
   RsmiIndex original(data, TestConfig());
   const std::string path = TempPath("rsmi_upd.idx");
-  ASSERT_TRUE(original.Save(path));
-  auto loaded = RsmiIndex::Load(path);
+  ASSERT_TRUE(SaveIndex(original, path));
+  auto loaded_any = LoadIndex(path);
+  auto* loaded = dynamic_cast<RsmiIndex*>(loaded_any.get());
   ASSERT_NE(loaded, nullptr);
 
   std::vector<Point> all = data;
@@ -391,8 +393,9 @@ TEST(PersistenceTest, SaveAfterUpdatesPreservesOverflowChains) {
     all.push_back(p);
   }
   const std::string path = TempPath("rsmi_chain.idx");
-  ASSERT_TRUE(index.Save(path));
-  auto loaded = RsmiIndex::Load(path);
+  ASSERT_TRUE(SaveIndex(index, path));
+  auto loaded_any = LoadIndex(path);
+  auto* loaded = dynamic_cast<RsmiIndex*>(loaded_any.get());
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->Stats().num_points, all.size());
   for (size_t i = 0; i < all.size(); i += 4) {
@@ -406,13 +409,13 @@ TEST(PersistenceTest, SaveAfterUpdatesPreservesOverflowChains) {
 }
 
 TEST(PersistenceTest, RejectsMissingAndCorruptFiles) {
-  EXPECT_EQ(RsmiIndex::Load("/nonexistent/index.idx"), nullptr);
+  EXPECT_EQ(LoadIndex("/nonexistent/index.idx"), nullptr);
   const std::string path = TempPath("garbage.idx");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fputs("this is not an index", f);
   std::fclose(f);
-  EXPECT_EQ(RsmiIndex::Load(path), nullptr);
+  EXPECT_EQ(LoadIndex(path), nullptr);
   std::remove(path.c_str());
 }
 

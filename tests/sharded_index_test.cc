@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "baselines/factory.h"
-#include "common/env.h"
 #include "data/generators.h"
 #include "data/ground_truth.h"
 #include "data/workloads.h"
@@ -475,67 +474,6 @@ TEST(ShardedIndexTest, BatchQueryEngineTotalsMatchSingleThreadedReplay) {
   EXPECT_EQ(st.total_results, truth_results);
   EXPECT_EQ(st.cost.block_accesses, truth_cost.block_accesses);
   EXPECT_EQ(st.cost.model_invocations, truth_cost.model_invocations);
-}
-
-/// Intra-query fan-out: running one window/kNN query's per-shard
-/// sub-queries on a thread pool must be invisible in the results. For
-/// windows the counted costs must match the sequential fan-out exactly
-/// (same shards queried, contexts merged in shard order); for kNN the
-/// results must match while costs may only grow (the parallel fan-out
-/// queries the far shards the sequential best-first walk skips).
-TEST(ShardedIndexTest, ParallelIntraQueryFanOutIsResultIdentical) {
-  const auto data = GenerateDataset(Distribution::kSkewed, kPoints, 42);
-  IndexBuildConfig seq_cfg = TestConfig();
-  seq_cfg.query_threads = 1;
-  IndexBuildConfig par_cfg = TestConfig();
-  par_cfg.query_threads = 4;
-  const auto seq = MakeIndexFromSpec("sharded<4>:rsmia", data, seq_cfg);
-  const auto par = MakeIndexFromSpec("sharded<4>:rsmia", data, par_cfg);
-  ASSERT_NE(seq, nullptr);
-  ASSERT_NE(par, nullptr);
-  // The env knob deliberately overrides the config (a serving-time
-  // override); only check the config plumb-through when it is unset.
-  if (GetEnvString("RSMI_SHARD_QUERY_THREADS", "").empty()) {
-    ASSERT_EQ(dynamic_cast<const ShardedIndex&>(*par).query_threads(), 4);
-  }
-
-  for (const Rect& w : GenerateWindowQueries(data, 40, 0.002, 1.0, 99)) {
-    QueryContext sc;
-    QueryContext pc;
-    EXPECT_EQ(SortedXY(par->WindowQuery(w, pc)),
-              SortedXY(seq->WindowQuery(w, sc)));
-    EXPECT_EQ(pc.block_accesses, sc.block_accesses);
-    EXPECT_EQ(pc.model_invocations, sc.model_invocations);
-    EXPECT_EQ(pc.descents, sc.descents);
-    EXPECT_EQ(pc.nodes_visited, sc.nodes_visited);
-  }
-  for (const Point& q : GenerateQueryPoints(data, 40, 123)) {
-    QueryContext sc;
-    QueryContext pc;
-    EXPECT_EQ(SortedXY(par->KnnQuery(q, 10, pc)),
-              SortedXY(seq->KnnQuery(q, 10, sc)));
-    EXPECT_GE(pc.block_accesses, sc.block_accesses);
-  }
-
-  // Updates keep the fan-outs aligned (regions grow, blocks splice).
-  const auto extra = GenerateDataset(Distribution::kUniform, 200, 4242);
-  for (const Point& p : extra) {
-    seq->Insert(p);
-    par->Insert(p);
-  }
-  for (size_t i = 0; i < data.size(); i += 7) {
-    EXPECT_TRUE(seq->Delete(data[i]));
-    EXPECT_TRUE(par->Delete(data[i]));
-  }
-  QueryContext ctx;
-  for (const Rect& w : GenerateWindowQueries(data, 20, 0.002, 1.0, 7)) {
-    EXPECT_EQ(SortedXY(par->WindowQuery(w, ctx)),
-              SortedXY(seq->WindowQuery(w, ctx)));
-  }
-  for (const Point& q : GenerateQueryPoints(data, 20, 31)) {
-    EXPECT_EQ(SortedXY(par->KnnQuery(q, 15, ctx)),
-              SortedXY(seq->KnnQuery(q, 15, ctx)));
-  }
 }
 
 TEST(ShardedIndexTest, ParallelBuildMatchesSequentialBuild) {

@@ -82,6 +82,34 @@ TEST(BlockStoreTest, RepeatedInsertsKeepStrictOrder) {
   EXPECT_EQ(count, 42);
 }
 
+TEST(BlockStoreTest, BlockWithRoomWalksTheRunThenGrowsIt) {
+  BlockStore store(1);
+  const int a = store.Alloc();
+  const int b = store.Alloc();
+  QueryContext ctx;
+  // An empty block has room: one counted read, no allocation.
+  EXPECT_EQ(store.BlockWithRoom(a, ctx), a);
+  EXPECT_EQ(ctx.block_accesses, 1u);
+  // A full block with no run: a new overflow block spliced after it.
+  store.MutableBlock(a).entries.push_back({{0.1, 0.1}, 1});
+  const int o1 = store.BlockWithRoom(a, ctx);
+  EXPECT_TRUE(store.Peek(o1).inserted);
+  EXPECT_EQ(store.Peek(a).next, o1);
+  EXPECT_EQ(store.Peek(o1).next, b);
+  EXPECT_EQ(ctx.block_accesses, 2u);
+  // A run with room at its end: the walk reads both blocks.
+  EXPECT_EQ(store.BlockWithRoom(a, ctx), o1);
+  EXPECT_EQ(ctx.block_accesses, 4u);
+  // A full run grows after its last block, never past the next build
+  // block (b is full too, but it starts another run).
+  store.MutableBlock(o1).entries.push_back({{0.2, 0.2}, 2});
+  store.MutableBlock(b).entries.push_back({{0.3, 0.3}, 3});
+  const int o2 = store.BlockWithRoom(a, ctx);
+  EXPECT_EQ(store.Peek(o1).next, o2);
+  EXPECT_EQ(store.Peek(o2).next, b);
+  EXPECT_EQ(ctx.block_accesses, 6u);
+}
+
 TEST(BlockStoreTest, ScanRangeVisitsSplicedBlocks) {
   BlockStore store(2);
   std::vector<int> build;

@@ -12,6 +12,7 @@
 #include "data/ground_truth.h"
 #include "data/workloads.h"
 #include "gtest/gtest.h"
+#include "io/index_container.h"
 
 namespace rsmi {
 namespace {
@@ -139,8 +140,8 @@ TEST_P(UpdateStrategyTest, SaveLoadPreservesPendingInserts) {
   const std::string path =
       ::testing::TempDir() + "/update_strategy_" +
       std::to_string(static_cast<int>(GetParam())) + ".idx";
-  ASSERT_TRUE(index.Save(path));
-  auto loaded = RsmiIndex::Load(path);
+  ASSERT_TRUE(SaveIndex(index, path));
+  auto loaded = LoadIndex(path);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->Stats().num_points, index.Stats().num_points);
   for (const auto& p : stream) {

@@ -13,6 +13,7 @@
 #include "core/rsmi_index.h"
 #include "data/generators.h"
 #include "gtest/gtest.h"
+#include "io/index_container.h"
 
 namespace rsmi {
 namespace {
@@ -90,8 +91,8 @@ TEST(ValidateStructureTest, RsmiAfterSaveLoad) {
   cfg.train.epochs = 30;
   RsmiIndex index(data, cfg);
   const std::string path = ::testing::TempDir() + "/validate.idx";
-  ASSERT_TRUE(index.Save(path));
-  auto loaded = RsmiIndex::Load(path);
+  ASSERT_TRUE(SaveIndex(index, path));
+  auto loaded = LoadIndex(path);
   ASSERT_NE(loaded, nullptr);
   std::string error;
   EXPECT_TRUE(loaded->ValidateStructure(&error)) << error;
