@@ -12,7 +12,11 @@
 //    SpatialServer over loopback, untraced vs traced, and reports
 //    `traced_overhead_pct` (recorded for trend-watching, never gated:
 //    tracing is opt-in per request, so its cost is a documented price,
-//    not a regression).
+//    not a regression). Each Call times a real loopback round trip
+//    (about 40 us untraced on a 4-vCPU x86 host). Before replies went
+//    out as one write under TCP_NODELAY, every Call waited about 43 ms
+//    for the client's delayed ACK instead, which hid the tracing cost:
+//    `traced_overhead_pct` read about 1%.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -141,6 +142,8 @@ void SpatialServer::Stop() {
       std::lock_guard<std::mutex> lock(conns_mu_);
       for (const auto& conn : conns_) ::shutdown(conn->fd, SHUT_RD);
       readers.swap(readers_);
+      for (std::thread& t : exited_readers_) readers.push_back(std::move(t));
+      exited_readers_.clear();
     }
     for (std::thread& t : readers) t.join();
 
@@ -211,12 +214,25 @@ void SpatialServer::AcceptLoop() {
       ::close(fd);
       return;
     }
+    // Replies leave at once, as requests do from ServerClient: under
+    // Nagle a small reply waits for the client to ACK the previous one,
+    // which a client blocked on that reply delays by up to 40 ms.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    readers_.emplace_back(
-        [this, conn = std::move(conn)] { ReaderLoop(conn); });
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      exited.swap(exited_readers_);
+      conns_.push_back(conn);
+      readers_.emplace_back(
+          [this, conn = std::move(conn)] { ReaderLoop(conn); });
+    }
+    // An exited but unjoined reader keeps its stack mapping, so join
+    // them here: unjoined readers stay bounded by the connections open
+    // at the last accept, not by every connection ever accepted.
+    for (std::thread& t : exited) t.join();
   }
 }
 
@@ -225,6 +241,16 @@ void SpatialServer::ForgetConnection(
   std::lock_guard<std::mutex> lock(conns_mu_);
   conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
                conns_.end());
+  // Hand this reader's own handle to the acceptor, which joins it. After
+  // Stop() took readers_ the handle is not here, and Stop() joins it.
+  const auto self =
+      std::find_if(readers_.begin(), readers_.end(), [](const std::thread& t) {
+        return t.get_id() == std::this_thread::get_id();
+      });
+  if (self != readers_.end()) {
+    exited_readers_.push_back(std::move(*self));
+    readers_.erase(self);
+  }
 }
 
 void SpatialServer::ReaderLoop(std::shared_ptr<Connection> conn) {

@@ -172,7 +172,8 @@ class SpatialServer {
   void ReaderLoop(std::shared_ptr<Connection> conn);
   /// Drops the registry reference once a connection's reader is done, so
   /// the fd closes (and the client sees EOF) as soon as the last queued
-  /// response for it goes out — not at server shutdown.
+  /// response for it goes out — not at server shutdown. Called on the
+  /// reader's own thread, which it also moves to exited_readers_.
   void ForgetConnection(const std::shared_ptr<Connection>& conn);
   void WorkerLoop();
 
@@ -219,6 +220,9 @@ class SpatialServer {
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> readers_;
+  /// Readers whose connection ended, waiting for the acceptor (or
+  /// Stop()) to join them.
+  std::vector<std::thread> exited_readers_;
 
   std::thread acceptor_;
   std::vector<std::thread> workers_;

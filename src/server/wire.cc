@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "io/serializer.h"
@@ -164,40 +165,65 @@ bool ReadExact(int fd, void* buf, size_t n) {
   return true;
 }
 
-bool WriteAll(int fd, const void* buf, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(buf);
-  size_t done = 0;
-  while (done < n) {
-    // send + MSG_NOSIGNAL instead of write: a peer that closed mid-reply
-    // must fail the call, not raise SIGPIPE at the whole process.
-    const ssize_t r = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
-    if (r > 0) {
-      done += static_cast<size_t>(r);
-    } else if (r < 0 && errno != EINTR) {
+namespace {
+
+/// Sends every byte `iov[0..iovcnt)` describes, resuming inside the
+/// vector after a short write and retrying EINTR. The entries are
+/// advanced in place.
+bool SendAll(int fd, iovec* iov, size_t iovcnt) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = iovcnt;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer that closed mid-reply must fail the call, not
+    // raise SIGPIPE at the whole process.
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR) continue;
       return false;
+    }
+    size_t sent = static_cast<size_t>(r);
+    // Drop the entries this call finished; the resume point can fall
+    // anywhere, the length prefix included.
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      iovec& head = *msg.msg_iov;
+      head.iov_base = static_cast<uint8_t*>(head.iov_base) + sent;
+      head.iov_len -= sent;
     }
   }
   return true;
 }
 
+}  // namespace
+
+bool WriteAll(int fd, const void* buf, size_t n) {
+  iovec iov{const_cast<void*>(buf), n};
+  return SendAll(fd, &iov, 1);
+}
+
 FrameReadResult ReadFrame(int fd, uint32_t max_payload,
                           std::vector<uint8_t>* payload) {
-  uint32_t len = 0;
-  {
-    // Distinguish the clean shutdown (EOF before any prefix byte) from a
-    // truncated prefix.
-    uint8_t first = 0;
-    const ssize_t r = ::read(fd, &first, 1);
-    if (r == 0) return FrameReadResult::kEof;
-    if (r < 0) {
-      if (errno == EINTR) return ReadFrame(fd, max_payload, payload);
-      return FrameReadResult::kError;
-    }
-    uint8_t rest[3];
-    if (!ReadExact(fd, rest, sizeof(rest))) return FrameReadResult::kError;
-    uint8_t raw[4] = {first, rest[0], rest[1], rest[2]};
-    std::memcpy(&len, raw, sizeof(len));
+  uint8_t prefix[sizeof(uint32_t)];
+  ssize_t r = 0;
+  do {
+    r = ::read(fd, prefix, sizeof(prefix));
+  } while (r < 0 && errno == EINTR);
+  // EOF before any prefix byte is the peer's clean shutdown; EOF inside
+  // the prefix is a truncated frame.
+  if (r == 0) return FrameReadResult::kEof;
+  if (r < 0) return FrameReadResult::kError;
+  const size_t got = static_cast<size_t>(r);
+  if (got < sizeof(prefix) &&
+      !ReadExact(fd, prefix + got, sizeof(prefix) - got)) {
+    return FrameReadResult::kError;
   }
+  uint32_t len = 0;
+  std::memcpy(&len, prefix, sizeof(len));
   if (len > max_payload) return FrameReadResult::kTooLarge;
   payload->resize(len);
   if (len != 0 && !ReadExact(fd, payload->data(), len)) {
@@ -208,10 +234,15 @@ FrameReadResult ReadFrame(int fd, uint32_t max_payload,
 
 bool WriteFrame(int fd, const uint8_t* payload, size_t n) {
   const uint32_t len = static_cast<uint32_t>(n);
-  uint8_t prefix[4];
+  uint8_t prefix[sizeof(len)];
   std::memcpy(prefix, &len, sizeof(prefix));
-  if (!WriteAll(fd, prefix, sizeof(prefix))) return false;
-  return n == 0 || WriteAll(fd, payload, n);
+  // Prefix and payload leave in one sendmsg. Written apart, the 4-byte
+  // prefix goes out on its own and Nagle holds the payload until the
+  // peer ACKs it (up to its 40 ms delayed-ACK timer); under TCP_NODELAY
+  // the frame would still cost two segments and two receiver wake-ups.
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<uint8_t*>(payload), n}};
+  return SendAll(fd, iov, 2);
 }
 
 }  // namespace rsmi

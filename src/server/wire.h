@@ -79,7 +79,9 @@ bool WriteAll(int fd, const void* buf, size_t n);
 /// Reads one length-prefixed frame into `*payload`.
 FrameReadResult ReadFrame(int fd, uint32_t max_payload,
                           std::vector<uint8_t>* payload);
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame: prefix and payload in one sendmsg
+/// (resumed after short writes), so the frame never waits behind its
+/// own prefix for the peer's ACK. Never raises SIGPIPE.
 bool WriteFrame(int fd, const uint8_t* payload, size_t n);
 
 }  // namespace rsmi

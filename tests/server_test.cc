@@ -1,17 +1,26 @@
-// Spatial query server tests: wire round-trips, concurrent coalesced
-// serving bit-identical to direct index queries (results AND
+// Spatial query server tests: wire round-trips, the frame layer over a
+// socketpair, a seeded mutation fuzz of the wire decoders, concurrent
+// coalesced serving bit-identical to direct index queries (results AND
 // QueryContext counters), admission deadlines, atomic reload under
-// load, malformed-frame handling, and graceful drain. Everything runs
-// against an in-process SpatialServer on an ephemeral loopback port.
+// load, malformed-frame handling, graceful drain, replies that never
+// wait for the client's ACK, and reader threads joined as connections
+// end. Server cases run against an in-process SpatialServer on an
+// ephemeral loopback port.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "baselines/factory.h"
@@ -20,6 +29,8 @@
 #include "exec/batch_query_engine.h"
 #include "exec/request.h"
 #include "io/index_container.h"
+#include "obs/metrics.h"
+#include "obs/slow_query_log.h"
 #include "server/client.h"
 #include "server/loadgen.h"
 #include "server/spatial_server.h"
@@ -136,6 +147,249 @@ TEST(WireTest, RejectsMalformedPayloads) {
   bad = payload;
   bad.push_back(0);
   EXPECT_FALSE(DecodeRequest(bad.data(), bad.size(), &out));
+}
+
+/// Writes the 4-byte length prefix of a frame claiming `len` bytes.
+void WritePrefix(int fd, uint32_t len) {
+  ASSERT_TRUE(WriteAll(fd, &len, sizeof(len)));
+}
+
+/// Does nothing; installed without SA_RESTART, so a signal to a thread
+/// blocked in sendmsg makes the call return what it has sent so far.
+void InterruptSyscall(int) {}
+
+TEST(WireTest, FramesSurviveShortWritesOverASocketpair) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+            0);
+  // A blocking sendmsg only returns short when a signal interrupts it
+  // mid-transfer, so a second thread keeps signalling the writer while
+  // the small send buffer makes it block again and again. The handler
+  // stays installed afterwards: a signal still in flight must not reach
+  // SIGUSR1's default action, which ends the process.
+  struct sigaction sa {};
+  sa.sa_handler = InterruptSyscall;
+  sigemptyset(&sa.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, nullptr), 0);
+
+  const std::vector<size_t> sizes = {0, 1, 4096, 1048577};
+  std::vector<std::vector<uint8_t>> frames;
+  for (size_t n : sizes) {
+    std::vector<uint8_t> f(n);
+    for (size_t i = 0; i < n; ++i) f[i] = static_cast<uint8_t>(i * 31 + n);
+    frames.push_back(std::move(f));
+  }
+  std::atomic<int> mismatches{0};
+  std::thread reader([&] {
+    std::vector<uint8_t> got;
+    for (const std::vector<uint8_t>& want : frames) {
+      if (ReadFrame(sv[1], 1u << 21, &got) != FrameReadResult::kOk ||
+          got != want) {
+        ++mismatches;
+      }
+    }
+  });
+  std::atomic<bool> writing{true};
+  const pthread_t writer = ::pthread_self();
+  std::thread interrupter([&] {
+    while (writing.load()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  for (const std::vector<uint8_t>& f : frames) {
+    EXPECT_TRUE(WriteFrame(sv[0], f.data(), f.size())) << f.size();
+  }
+  writing.store(false);
+  interrupter.join();
+  // Closing first turns a frame the writer lost into a reader error, not
+  // a hang.
+  ::close(sv[0]);
+  reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  ::close(sv[1]);
+}
+
+TEST(WireTest, WriteFrameToAClosedPeerFailsWithoutSigpipe) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ::close(sv[1]);
+  // SIGPIPE's default action would end this test binary here.
+  const uint8_t payload[8] = {};
+  EXPECT_FALSE(WriteFrame(sv[0], payload, sizeof(payload)));
+  ::close(sv[0]);
+}
+
+/// ReadFrame's verdict on a socketpair after `send` wrote the peer's
+/// bytes and closed it.
+template <typename SendFn>
+FrameReadResult ReadAfterPeerSends(uint32_t max_payload, SendFn send) {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    return FrameReadResult::kError;
+  }
+  send(sv[0]);
+  ::close(sv[0]);
+  std::vector<uint8_t> payload;
+  const FrameReadResult r = ReadFrame(sv[1], max_payload, &payload);
+  ::close(sv[1]);
+  return r;
+}
+
+TEST(WireTest, ReadFrameClassifiesHowTheStreamEnds) {
+  auto nothing = [](int) {};
+  auto half_prefix = [](int fd) {
+    const uint8_t half[2] = {8, 0};
+    ASSERT_TRUE(WriteAll(fd, half, sizeof(half)));
+  };
+  auto short_payload = [](int fd) {
+    WritePrefix(fd, 8);
+    const uint8_t part[3] = {1, 2, 3};
+    ASSERT_TRUE(WriteAll(fd, part, sizeof(part)));
+  };
+  auto over_cap = [](int fd) { WritePrefix(fd, 65); };
+  auto at_cap = [](int fd) {
+    const std::vector<uint8_t> p(64, 7);
+    ASSERT_TRUE(WriteFrame(fd, p.data(), p.size()));
+  };
+  // Closed before any byte: the clean end of the stream.
+  EXPECT_EQ(ReadAfterPeerSends(64, nothing), FrameReadResult::kEof);
+  // Closed after 2 of the 4 prefix bytes.
+  EXPECT_EQ(ReadAfterPeerSends(64, half_prefix), FrameReadResult::kError);
+  // A full prefix promising 8 bytes, 3 of them, then the close.
+  EXPECT_EQ(ReadAfterPeerSends(64, short_payload), FrameReadResult::kError);
+  // A prefix above the cap is refused before any payload is read; the
+  // cap itself is legal.
+  EXPECT_EQ(ReadAfterPeerSends(64, over_cap), FrameReadResult::kTooLarge);
+  EXPECT_EQ(ReadAfterPeerSends(64, at_cap), FrameReadResult::kOk);
+}
+
+/// One random edit of `b`: bit flip, byte overwrite, truncation, or
+/// insertion of up to 8 random bytes.
+void Mutate(std::mt19937_64& rng, std::vector<uint8_t>* b) {
+  switch (rng() % 4) {
+    case 0:
+      if (!b->empty()) (*b)[rng() % b->size()] ^= 1u << (rng() % 8);
+      break;
+    case 1: {
+      // Length fields are where decoders go wrong: favour the extremes.
+      static const uint8_t kEdge[] = {0x00, 0xff, 0x7f, 0x80};
+      const uint8_t v = rng() % 2 == 0 ? kEdge[rng() % 4]
+                                       : static_cast<uint8_t>(rng());
+      if (!b->empty()) (*b)[rng() % b->size()] = v;
+      break;
+    }
+    case 2:
+      b->resize(rng() % (b->size() + 1));
+      break;
+    default: {
+      const size_t at = rng() % (b->size() + 1);
+      const size_t n = 1 + rng() % 8;
+      for (size_t i = 0; i < n; ++i) {
+        b->insert(b->begin() + static_cast<std::ptrdiff_t>(at),
+                  static_cast<uint8_t>(rng()));
+      }
+      break;
+    }
+  }
+}
+
+/// Fuzzes one decoder with mutants of the `seeds` payloads. Every
+/// accepted mutant must re-encode to bytes that decode and re-encode
+/// identically. Returns how many mutants the decoder accepted.
+template <typename Msg, typename Decode, typename Encode>
+size_t FuzzDecoder(const std::vector<std::vector<uint8_t>>& seeds,
+                   size_t mutants, uint64_t seed, Decode decode,
+                   Encode encode) {
+  std::mt19937_64 rng(seed);
+  size_t accepted = 0;
+  size_t unstable = 0;
+  for (size_t i = 0; i < mutants; ++i) {
+    std::vector<uint8_t> b = seeds[i % seeds.size()];
+    const size_t edits = 1 + rng() % 3;
+    for (size_t e = 0; e < edits; ++e) Mutate(rng, &b);
+    Msg msg;
+    if (!decode(b.data(), b.size(), &msg)) continue;
+    ++accepted;
+    const std::vector<uint8_t> once = encode(msg);
+    Msg again;
+    if (!decode(once.data(), once.size(), &again) || encode(again) != once) {
+      ++unstable;
+    }
+  }
+  EXPECT_EQ(unstable, 0u);
+  return accepted;
+}
+
+TEST(WireTest, DecodersSurviveSeededMutationsOfRealFrames) {
+  // Seeds: real encodings of every request shape and of responses
+  // carrying each optional section.
+  std::vector<std::vector<uint8_t>> requests;
+  requests.push_back(EncodeRequest(Request::PointLookup({0.25, 0.5}, 1)));
+  Request window = Request::WindowLookup(Rect{{0.1, 0.2}, {0.3, 0.4}}, 2);
+  window.deadline_us = 500;
+  requests.push_back(EncodeRequest(window));
+  UpdateBatch batch;
+  batch.Insert({0.5, 0.5});
+  batch.Delete({0.125, 0.75});
+  batch.Insert({0.9, 0.1});
+  WriteOptions wopts;
+  wopts.buffered = true;
+  wopts.fence = true;
+  requests.push_back(EncodeRequest(Request::Updates(batch, wopts, 3)));
+  Request traced;
+  traced.type = Request::Type::kReload;
+  traced.id = 4;
+  traced.path = "indexes/poi.idx";
+  traced.trace = true;
+  requests.push_back(EncodeRequest(traced));
+
+  std::vector<std::vector<uint8_t>> responses;
+  Response hit;
+  hit.id = 5;
+  hit.hit = PointEntry{{0.5, 0.25}, 123};
+  hit.cost.block_accesses = 3;
+  hit.cost.model_invocations = 2;
+  hit.cost.descents = 1;
+  hit.trace = {{"admission", 0, 2}, {"queue", 2, 9}, {"descent", 9, 14},
+               {"reply", 14, 15}};
+  responses.push_back(EncodeResponse(hit));
+  Response points;
+  points.id = 6;
+  points.points = {{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}};
+  points.message = "window";
+  responses.push_back(EncodeResponse(points));
+  MetricsRegistry reg;
+  reg.GetCounter("server.requests_admitted").Add(42);
+  reg.GetGauge("server.workers").Set(4);
+  Histogram& h = reg.GetHistogram("server.exec_us.point");
+  for (uint64_t v : {1, 3, 7, 900, 70000}) h.Observe(v);
+  Response stats;
+  stats.id = 7;
+  stats.stats = reg.Snapshot();
+  SlowQueryEntry slow;
+  slow.op = 1;
+  slow.id = 99;
+  slow.queue_us = 10;
+  slow.exec_us = 5000;
+  slow.total_us = 5010;
+  slow.cost.block_accesses = 40;
+  stats.slow = {slow, slow};
+  responses.push_back(EncodeResponse(stats));
+
+  // Fixed seeds and budget: the same 50k mutants per decoder every run.
+  constexpr size_t kMutants = 50000;
+  const size_t req_ok = FuzzDecoder<Request>(requests, kMutants, 0x5eed0001,
+                                             DecodeRequest, EncodeRequest);
+  const size_t resp_ok = FuzzDecoder<Response>(
+      responses, kMutants, 0x5eed0002, DecodeResponse, EncodeResponse);
+  // Bit flips inside fixed-width fields keep a frame valid, so both
+  // decoders must have accepted (and round-tripped) a good share.
+  EXPECT_GT(req_ok, kMutants / 20);
+  EXPECT_GT(resp_ok, kMutants / 20);
 }
 
 class ServerTest : public ::testing::Test {
@@ -505,6 +759,100 @@ TEST_F(ServerTest, LoadgenDrivesTrafficAndReportsPercentiles) {
   const std::string json = LoadgenReportJson(report);
   EXPECT_NE(json.find("\"achieved_qps\""), std::string::npos);
   EXPECT_NE(json.find("\"p999_us\""), std::string::npos);
+  server->Stop();
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+double MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST_F(ServerTest, RepliesNeverWaitForTheClientsAck) {
+  const auto data = MakeData(2000, 19);
+  const std::string path = BuildAndSave(data, "serve_nodelay.idx");
+  auto server = StartServer(path, /*threads=*/2);
+  auto client = Connect(*server);
+  ASSERT_NE(client, nullptr);
+  client->SetReceiveTimeout(5000);
+
+  // Synchronous calls: a reply whose payload left behind its own length
+  // prefix waited for the client's delayed ACK of that prefix.
+  std::vector<double> call_us;
+  for (uint64_t i = 0; i < 64; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Response resp;
+    ASSERT_TRUE(client->Call(Request::PointLookup(data[i], i), &resp));
+    call_us.push_back(MicrosSince(t0));
+  }
+
+  // Pipelined bursts: every reply after a burst's first leaves while the
+  // one before it is unACKed, which Nagle holds back unless the server
+  // set TCP_NODELAY.
+  std::vector<double> burst_us;
+  uint64_t id = 1000;
+  for (size_t b = 0; b < 50; ++b) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t j = 0; j < 8; ++j) {
+      const Point& q = data[(b * 8 + j) % data.size()];
+      const Request req =
+          j % 2 == 0 ? Request::WindowLookup(
+                           Rect{{q.x - 0.01, q.y - 0.01},
+                                {q.x + 0.01, q.y + 0.01}},
+                           id++)
+                     : Request::PointLookup(q, id++);
+      ASSERT_TRUE(client->Send(req));
+    }
+    for (size_t j = 0; j < 8; ++j) {
+      Response resp;
+      ASSERT_TRUE(client->Receive(&resp));
+    }
+    burst_us.push_back(MicrosSince(t0));
+  }
+
+  // Linux's delayed-ACK timer is at least 40 ms, so a median under 20 ms
+  // means the typical reply never waited for it; unstalled replies take
+  // tens of microseconds, which leaves room for sanitizer builds.
+  EXPECT_LT(Median(call_us), 20000.0);
+  EXPECT_LT(Median(burst_us), 20000.0);
+  server->Stop();
+}
+
+/// Lines in /proc/self/maps: one per mapping, and each unjoined thread
+/// holds two (its stack and its guard page).
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  size_t n = 0;
+  while (std::getline(maps, line)) ++n;
+  return n;
+}
+
+TEST_F(ServerTest, ReadersOfClosedConnectionsAreJoined) {
+  const auto data = MakeData(1000, 23);
+  const std::string path = BuildAndSave(data, "serve_reap.idx");
+  auto server = StartServer(path, /*threads=*/2);
+
+  // One connection per request, as remote rsmi_cli ops and per-scrape
+  // sidecars do. A server that kept every exited reader unjoined grew by
+  // two mappings per connection until it could not start another thread.
+  auto cycle = [&](uint64_t id) {
+    auto client = Connect(*server);
+    ASSERT_NE(client, nullptr);
+    Response resp;
+    ASSERT_TRUE(client->Call(
+        Request::PointLookup(data[id % data.size()], id), &resp));
+  };
+  for (uint64_t i = 0; i < 20; ++i) cycle(i);  // warm allocator arenas
+  const size_t before = MappingCount();
+  for (uint64_t i = 0; i < 500; ++i) cycle(i);
+  const size_t after = MappingCount();
+  EXPECT_LT(after, before + 200) << before << " -> " << after;
   server->Stop();
 }
 
